@@ -29,7 +29,6 @@ from .derive import (
     Association,
     Attribute,
     ClassDiagram,
-    ClassDiagramView,
     ClassSpec,
     CommunicativeEvent,
     DerivationError,
@@ -59,7 +58,6 @@ __all__ = [
     "BinaryOp",
     "Call",
     "ClassDiagram",
-    "ClassDiagramView",
     "ClassSpec",
     "CommunicativeEvent",
     "DerivationError",

@@ -97,6 +97,8 @@ def _read_file(path: str) -> str:
         return Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise _UsageError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise _UsageError(f"cannot decode {path}: {exc}") from None
 
 
 def _emit_diagnostics(diagnostics: list[Diagnostic], filename: str) -> None:

@@ -412,24 +412,20 @@ def equivalent(a: MessageStructure, b: MessageStructure) -> bool:
     complex-substructure kinds all matter; complex-substructure names and
     field properties do not.
     """
-    return _stripped(canonicalize(a)) == _stripped(canonicalize(b))
+    return _shape(a) == _shape(b)
 
 
-def _stripped(ms: MessageStructure) -> MessageStructure:
-    return replace(ms, root=_strip_props(ms.root))
-
-
-def _strip_props(node: Substructure) -> Substructure:
-    match node:
-        case Field(name):
-            return Field(name)
-        case Aggregation(name, children):
-            return Aggregation(name, tuple(_strip_props(c) for c in children))
-        case Iteration(name, children):
-            return Iteration(name, tuple(_strip_props(c) for c in children))
-        case Specialisation(name, variants):
-            return Specialisation(
-                name,
-                tuple(tuple(_strip_props(c) for c in v) for v in variants),
-            )
-    raise TypeError(f"not a substructure: {node!r}")
+def _shape(ms: MessageStructure) -> tuple:
+    # The structure name, then one token per node of the canonical tree in
+    # pre-order: a field's name, or a complex node's kind and child count.
+    # The counts make the token sequence determine the tree, and a flat
+    # tuple compares without recursion however deep the tree is.
+    tokens: list = [ms.name]
+    for node in walk(canonicalize(ms)):
+        if isinstance(node, Field):
+            tokens.append(node.name)
+        elif isinstance(node, Specialisation):
+            tokens.append((Specialisation, len(node.variants)))
+        else:
+            tokens.append((type(node), len(node.children)))
+    return tuple(tokens)

@@ -27,13 +27,14 @@ Errors:
     D001  a multi-variant specialisation has an anonymous variant
     D002  duplicate attribute name within one derived class
     D003  same-name attribute merged with a conflicting domain
-    D004  a class is integrated as subclass of two different parents
+    D004  a class is a subclass of two different parents, within one event
+          or across events
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .core import (
@@ -59,7 +60,6 @@ __all__ = [
     "ClassSpec",
     "Association",
     "ClassDiagram",
-    "ClassDiagramView",
     "DerivationError",
     "derive_view",
     "integrate",
@@ -128,9 +128,6 @@ class ClassDiagram:
     associations: tuple[Association, ...] = ()
 
 
-ClassDiagramView = ClassDiagram
-
-
 def class_name(raw: str) -> str:
     """Normalise a structure/field name to a class name: UpperCamelCase
     words, all-caps words title-cased ("ORDER" -> "Order",
@@ -151,28 +148,46 @@ def class_name(raw: str) -> str:
 
 
 class _ViewBuilder:
+    """A class diagram under construction, indexed by class name.
+
+    ``derive_view`` and ``integrate`` both fill one, so the class-merge rules
+    live in ``add_class`` alone. Classes, attributes and associations keep
+    first-seen order.
+    """
+
     def __init__(self) -> None:
-        self.class_order: list[str] = []
         self.kinds: dict[str, str] = {}
         self.parents: dict[str, str] = {}
-        self.attrs: dict[str, list[Attribute]] = {}
-        self.associations: list[Association] = []
+        self.attrs: dict[str, dict[str, Attribute]] = {}
+        self.associations: dict[tuple[str, str, str], Association] = {}
 
     def add_class(self, name: str, kind: str, parent: str | None = None) -> str:
-        if name not in self.kinds:
-            self.class_order.append(name)
-            self.kinds[name] = kind
-            self.attrs[name] = []
-            if parent is not None:
-                self.parents[name] = parent
-        elif kind != "referenced" and self.kinds[name] == "referenced":
-            self.kinds[name] = kind
-            if parent is not None:
-                self.parents[name] = parent
+        """Add a class or merge into the one of that name: a referenced class
+        takes any later kind, a defined class met as a variant becomes a
+        subclass, and a second, different parent is an error (D004)."""
+        known = self.kinds.get(name)
+        if known is None:
+            self.attrs[name] = {}
+        elif kind == "referenced" or (known != "referenced" and kind != "subclass"):
+            return name
+        prior = self.parents.get(name)
+        if prior is not None and parent is not None and prior != parent:
+            raise DerivationError(
+                Diagnostic(
+                    Severity.ERROR,
+                    "D004",
+                    f"class {name!r} cannot specialise both {prior!r} and {parent!r}",
+                )
+            )
+        self.kinds[name] = kind
+        if parent is not None:
+            self.parents[name] = parent
         return name
 
     def add_attribute(self, cls: str, attr: Attribute, span: SourceSpan | None) -> None:
-        if any(a.name == attr.name for a in self.attrs[cls]):
+        """Derivation: a second attribute of one name in a class is an error."""
+        attrs = self.attrs[cls]
+        if attr.name in attrs:
             raise DerivationError(
                 Diagnostic(
                     Severity.ERROR,
@@ -181,26 +196,55 @@ class _ViewBuilder:
                     span,
                 )
             )
-        self.attrs[cls].append(attr)
+        attrs[attr.name] = attr
+
+    def merge_attribute(self, cls: str, attr: Attribute) -> None:
+        """Integration: a same-name attribute keeps its place and what it
+        already knows, takes a domain it lacked, and must not carry a
+        different domain (D003)."""
+        attrs = self.attrs[cls]
+        seen = attrs.get(attr.name)
+        if seen is None:
+            attrs[attr.name] = attr
+        elif attr.domain is None:
+            return
+        elif seen.domain is None:
+            attrs[attr.name] = replace(
+                seen,
+                domain=attr.domain,
+                acquisition=seen.acquisition or attr.acquisition,
+                formula=seen.formula if seen.formula is not None else attr.formula,
+            )
+        elif seen.domain != attr.domain:
+            raise DerivationError(
+                Diagnostic(
+                    Severity.ERROR,
+                    "D003",
+                    f"attribute {attr.name!r} of class {cls!r} has "
+                    f"conflicting domains ({domain_to_text(seen.domain)} vs "
+                    f"{domain_to_text(attr.domain)})",
+                )
+            )
 
     def associate(self, assoc: Association) -> None:
-        if assoc not in self.associations:
-            self.associations.append(assoc)
+        """Union by (source, target, kind); multiplicities that disagree
+        widen to many."""
+        key = (assoc.source, assoc.target, assoc.kind)
+        seen = self.associations.get(key)
+        if seen is None:
+            self.associations[key] = assoc
+        elif seen.multiplicity != assoc.multiplicity:
+            self.associations[key] = replace(seen, multiplicity="many")
 
     def build(self) -> ClassDiagram:
         classes = tuple(
-            ClassSpec(
-                name,
-                self.kinds[name],
-                tuple(self.attrs[name]),
-                self.parents.get(name),
-            )
-            for name in self.class_order
+            ClassSpec(name, kind, tuple(self.attrs[name].values()), self.parents.get(name))
+            for name, kind in self.kinds.items()
         )
-        return ClassDiagram(classes, tuple(self.associations))
+        return ClassDiagram(classes, tuple(self.associations.values()))
 
 
-def derive_view(event: CommunicativeEvent) -> ClassDiagramView:
+def derive_view(event: CommunicativeEvent) -> ClassDiagram:
     """Map one event's message structure to a class-diagram view."""
     ms = canonicalize(event.structure, keep_names=True)
     builder = _ViewBuilder()
@@ -214,6 +258,8 @@ def derive_view(event: CommunicativeEvent) -> ClassDiagramView:
     return builder.build()
 
 
+# The tree is canonical here: an iteration's only child and every variant's
+# only member are aggregations.
 def _derive_into(
     builder: _ViewBuilder,
     cls: str,
@@ -228,11 +274,7 @@ def _derive_into(
             _derive_into(builder, cls, child.children, optional)
         elif isinstance(child, Iteration):
             inner = child.children[0]
-            raw = (
-                (inner.name if isinstance(inner, Aggregation) else None)
-                or child.name
-                or f"{cls}_item"
-            )
+            raw = inner.name or child.name or f"{cls}_item"
             item_cls = builder.add_class(class_name(raw), "defined")
             builder.associate(Association(cls, item_cls, "composition", "many"))
             _derive_into(builder, item_cls, inner.children, optional=False)
@@ -265,13 +307,11 @@ def _derive_specialisation(
 ) -> None:
     if len(spec.variants) == 1:
         # One variant means the content is optional, not an alternative.
-        variant = spec.variants[0][0]
-        _derive_into(builder, cls, _variant_members(variant), optional=True)
+        _derive_into(builder, cls, spec.variants[0][0].children, optional=True)
         return
     for variant in spec.variants:
         node = variant[0]
-        raw = node.name if not isinstance(node, Field) else None
-        if raw is None:
+        if node.name is None:
             raise DerivationError(
                 Diagnostic(
                     Severity.ERROR,
@@ -281,15 +321,9 @@ def _derive_specialisation(
                     node.span or spec.span,
                 )
             )
-        sub = builder.add_class(class_name(raw), "subclass", parent=cls)
+        sub = builder.add_class(class_name(node.name), "subclass", parent=cls)
         builder.associate(Association(cls, sub, "generalisation", None))
-        _derive_into(builder, sub, _variant_members(node), optional=optional)
-
-
-def _variant_members(node: Substructure) -> tuple[Substructure, ...]:
-    if isinstance(node, Aggregation):
-        return node.children
-    return (node,)
+        _derive_into(builder, sub, node.children, optional=optional)
 
 
 # ---------------------------------------------------------------------------
@@ -297,86 +331,23 @@ def _variant_members(node: Substructure) -> tuple[Substructure, ...]:
 # ---------------------------------------------------------------------------
 
 
-def integrate(views: list[ClassDiagramView]) -> ClassDiagram:
+def integrate(views: list[ClassDiagram]) -> ClassDiagram:
     """Fold views left to right into one diagram.
 
-    Classes merge by name (a defined or subclass beats a referenced one),
-    attribute lists union preserving first-seen order, and associations
-    union by (source, target, kind) with the target multiplicity widened
-    from one to many on disagreement.
+    Classes merge by name under the rules of ``derive_view``, attribute lists
+    union preserving first-seen order, and associations union by (source,
+    target, kind) with the target multiplicity widened from one to many on
+    disagreement.
     """
     builder = _ViewBuilder()
-    assoc_index: dict[tuple[str, str, str], Association] = {}
     for view in views:
         for cls in view.classes:
-            _merge_class(builder, cls)
+            builder.add_class(cls.name, cls.kind, cls.parent)
+            for attr in cls.attributes:
+                builder.merge_attribute(cls.name, attr)
         for assoc in view.associations:
-            key = (assoc.source, assoc.target, assoc.kind)
-            seen = assoc_index.get(key)
-            if seen is None:
-                assoc_index[key] = assoc
-            elif seen.multiplicity != assoc.multiplicity:
-                assoc_index[key] = Association(
-                    assoc.source, assoc.target, assoc.kind, "many"
-                )
-    builder.associations = list(assoc_index.values())
+            builder.associate(assoc)
     return builder.build()
-
-
-def _merge_class(builder: _ViewBuilder, cls: ClassSpec) -> None:
-    if cls.name not in builder.kinds:
-        builder.add_class(cls.name, cls.kind, cls.parent)
-        for attr in cls.attributes:
-            builder.attrs[cls.name].append(attr)
-        return
-    existing_kind = builder.kinds[cls.name]
-    if cls.kind != "referenced":
-        if existing_kind == "referenced":
-            builder.kinds[cls.name] = cls.kind
-            if cls.parent is not None:
-                builder.parents[cls.name] = cls.parent
-        elif cls.kind == "subclass":
-            prior = builder.parents.get(cls.name)
-            if prior is not None and cls.parent is not None and prior != cls.parent:
-                raise DerivationError(
-                    Diagnostic(
-                        Severity.ERROR,
-                        "D004",
-                        f"class {cls.name!r} cannot specialise both {prior!r} "
-                        f"and {cls.parent!r}",
-                    )
-                )
-            builder.kinds[cls.name] = "subclass"
-            if cls.parent is not None:
-                builder.parents[cls.name] = cls.parent
-    merged = builder.attrs[cls.name]
-    for attr in cls.attributes:
-        seen = next((a for a in merged if a.name == attr.name), None)
-        if seen is None:
-            merged.append(attr)
-            continue
-        if (
-            seen.domain is not None
-            and attr.domain is not None
-            and seen.domain != attr.domain
-        ):
-            raise DerivationError(
-                Diagnostic(
-                    Severity.ERROR,
-                    "D003",
-                    f"attribute {attr.name!r} of class {cls.name!r} has "
-                    f"conflicting domains ({domain_to_text(seen.domain)} vs "
-                    f"{domain_to_text(attr.domain)})",
-                )
-            )
-        if seen.domain is None and attr.domain is not None:
-            merged[merged.index(seen)] = Attribute(
-                seen.name,
-                attr.domain,
-                seen.acquisition or attr.acquisition,
-                seen.formula if seen.formula is not None else attr.formula,
-                seen.optional,
-            )
 
 
 # ---------------------------------------------------------------------------

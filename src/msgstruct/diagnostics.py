@@ -28,10 +28,6 @@ class Severity(Enum):
     WARNING = "warning"
     INFO = "info"
 
-    @property
-    def rank(self) -> int:
-        return {"error": 3, "warning": 2, "info": 1}[self.value]
-
 
 @dataclass(frozen=True)
 class Diagnostic:

@@ -115,18 +115,16 @@ def fragment_1nf(ms: MessageStructure) -> list[Fragment]:
             elif isinstance(child, Aggregation):
                 collect(builder, child.children)
             elif isinstance(child, Iteration):
+                # Canonical form: an iteration's only child and every
+                # variant's only member are aggregations.
                 inner = child.children[0]
                 label = _iteration_label(child, inner, builder)
                 sub = new_fragment(f"{builder.id}/{label}", builder.depth + 1, builder.id)
-                collect(sub, inner.children if isinstance(inner, Aggregation) else (inner,))
+                collect(sub, inner.children)
             elif isinstance(child, Specialisation):
                 builder.discriminators.append(_discriminator_note(child))
                 for variant in child.variants:
-                    for node in variant:
-                        if isinstance(node, Aggregation):
-                            collect(builder, node.children)
-                        else:
-                            collect(builder, (node,))
+                    collect(builder, variant[0].children)
 
     root = new_fragment(ms.name, 0, None)
     root_node = normal.root
@@ -137,8 +135,8 @@ def fragment_1nf(ms: MessageStructure) -> list[Fragment]:
     return [b.freeze() for b in fragments]
 
 
-def _iteration_label(node: Iteration, inner: Substructure, parent: _FragmentBuilder) -> str:
-    base = node.name or (inner.name if not isinstance(inner, Field) else None)
+def _iteration_label(node: Iteration, inner: Aggregation, parent: _FragmentBuilder) -> str:
+    base = node.name or inner.name
     if base is None:
         base = f"it{len(parent.used_labels) + 1}"
     label = base
@@ -151,11 +149,7 @@ def _iteration_label(node: Iteration, inner: Substructure, parent: _FragmentBuil
 
 
 def _discriminator_note(spec: Specialisation) -> str:
-    names = []
-    for variant in spec.variants:
-        node = variant[0]
-        names.append((node.name if not isinstance(node, Field) else None) or "?")
-    note = "|".join(names)
+    note = "|".join(variant[0].name or "?" for variant in spec.variants)
     return f"{spec.name}:{note}" if spec.name else note
 
 

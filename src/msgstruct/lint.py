@@ -168,16 +168,24 @@ class LintConfig:
         - ``report_missing``: report absent highly-recommended properties
           at info level
         """
+        if not isinstance(obj, dict):
+            raise ValueError("lint configuration must be a JSON object")
+        severity = obj.get("severity", {})
+        if not isinstance(severity, dict):
+            raise ValueError("'severity' must be an object")
         severity_map = dict(cls().severity_map)
-        for symbol, value in obj.get("severity", {}).items():
+        for symbol, value in severity.items():
             try:
                 level = Level(symbol)
             except ValueError:
                 raise ValueError(f"unknown applicability level {symbol!r}") from None
-            if value not in _SEVERITY_NAMES:
+            if not isinstance(value, str) or value not in _SEVERITY_NAMES:
                 raise ValueError(f"unknown severity {value!r} for level {symbol!r}")
             severity_map[level] = _SEVERITY_NAMES[value]
-        wordlist = tuple(str(w).lower() for w in obj.get("g1_wordlist", DEFAULT_WORDLIST))
+        words = obj.get("g1_wordlist", DEFAULT_WORDLIST)
+        if not isinstance(words, (list, tuple)) or not all(isinstance(w, str) for w in words):
+            raise ValueError("'g1_wordlist' must be a list of strings")
+        wordlist = tuple(w.lower() for w in words)
         return cls(
             severity_map=severity_map,
             g1_wordlist=wordlist,

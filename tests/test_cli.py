@@ -42,6 +42,14 @@ def test_parse_missing_file_exits_2(run_cli, corpus_dir):
     assert "missing.ms" in result.stderr
 
 
+def test_parse_non_utf8_file_exits_2(run_cli, corpus_dir):
+    (corpus_dir / "latin1.ms").write_bytes(b"A=<caf\xe9>\n")
+    result = run_cli("parse", "latin1.ms", cwd=corpus_dir)
+    assert result.returncode == 2
+    assert "latin1.ms" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 def test_canon_prints_the_canonical_form(run_cli, corpus_dir):
     result = run_cli("canon", "form1.ms", cwd=corpus_dir)
     assert result.returncode == 0
@@ -99,6 +107,17 @@ def test_check_config_override(run_cli, corpus_dir):
     )
     assert result.returncode == 1
     assert "error: L-LABEL" in result.stderr
+
+
+@pytest.mark.parametrize("config", ["[]", '{"g1_wordlist": 5}', '{"severity": []}'])
+def test_check_config_of_the_wrong_shape_exits_2(run_cli, corpus_dir, config):
+    (corpus_dir / "bad.json").write_text(config, encoding="utf-8")
+    result = run_cli(
+        "check", "--phase", "analysis", "--config", "bad.json", "order.ms", cwd=corpus_dir
+    )
+    assert result.returncode == 2
+    assert "bad config bad.json" in result.stderr
+    assert "Traceback" not in result.stderr
 
 
 def test_config_comes_from_the_environment_too(corpus_dir):

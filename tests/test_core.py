@@ -169,6 +169,27 @@ def test_multi_word_names_allowed():
     assert Field("e-mail").name == "e-mail"
 
 
+@pytest.mark.parametrize(
+    "wrap",
+    [
+        lambda node: Aggregation(None, (node,)),
+        lambda node: Iteration(None, (node,)),
+        lambda node: Specialisation(None, ((node,),)),
+    ],
+    ids=["aggregation", "iteration", "specialisation"],
+)
+def test_equivalence_of_deeply_nested_structures(wrap):
+    def nested(depth):
+        node = Field("x")
+        for _ in range(depth):
+            node = wrap(node)
+        return MessageStructure("M", Aggregation(None, (node,)))
+
+    ms = nested(300)
+    assert equivalent(ms, ms)
+    assert not equivalent(ms, nested(299))
+
+
 def test_canonicalize_idempotence_property():
     prop_canonicalize_idempotent()
 

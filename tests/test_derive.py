@@ -172,6 +172,12 @@ def test_duplicate_attribute_raises_d002():
     assert exc.value.diagnostic.code == "D002"
 
 
+def test_two_parents_in_one_event_raise_d004():
+    with pytest.raises(DerivationError) as exc:
+        derive_view(_event(parse("A=<[P=<x>|Q=<y>] + B={[P=<z>|R=<w>]}>")))
+    assert exc.value.diagnostic.code == "D004"
+
+
 def test_derived_field_keeps_its_formula():
     view = derive_view(_event(parse('A=<Price+Amount (op=d; formula=":Price * 2")>')))
     amount = view.classes[0].attributes[1]
@@ -253,6 +259,28 @@ def test_two_parents_raise_d004():
     with pytest.raises(DerivationError) as exc:
         integrate([a, b])
     assert exc.value.diagnostic.code == "D004"
+
+
+@pytest.mark.parametrize("first, merged", [(None, "g"), ("i", "i")])
+def test_merge_fills_an_absent_domain_in_place(first, merged):
+    a = ClassDiagram(
+        (ClassSpec("X", "defined", (Attribute("v", acquisition=first), Attribute("w"))),),
+        (),
+    )
+    b = ClassDiagram(
+        (
+            ClassSpec(
+                "X", "defined", (Attribute("u"), Attribute("v", parse_domain("number"), "g"))
+            ),
+        ),
+        (),
+    )
+    (cls,) = integrate([a, b]).classes
+    assert cls.attributes == (
+        Attribute("v", parse_domain("number"), merged),
+        Attribute("w"),
+        Attribute("u"),
+    )
 
 
 def test_multiplicity_widens_on_disagreement():
