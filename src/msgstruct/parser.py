@@ -21,12 +21,16 @@ Errors are raised as :class:`ParseError` carrying diagnostics:
     P005  malformed property annotation
     P006  unknown acquisition-operation letter
     P007  unexpected character or token
+    P008  nesting too deep: more than ``MAX_NESTING`` (300) levels of brackets
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import replace
+from itertools import accumulate
+from typing import NoReturn
 
 from .core import (
     Acquisition,
@@ -53,7 +57,12 @@ from .core import (
 )
 from .diagnostics import Diagnostic, Severity, SourceSpan
 
-__all__ = ["parse", "parse_formula", "to_text", "structure_to_json_obj", "ParseError"]
+__all__ = ["parse", "parse_formula", "to_text", "structure_to_json_obj", "ParseError", "MAX_NESTING"]
+
+# The deepest nesting of '<', '{' and '[' that ``parse`` accepts. The reader
+# recurses twice per level and would overflow the interpreter's default
+# 1000-frame stack at about 495 levels; the limit leaves room for callers.
+MAX_NESTING = 300
 
 
 class ParseError(Exception):
@@ -64,9 +73,28 @@ class ParseError(Exception):
         self.diagnostics = diagnostics
 
 
-_NAME_RE = re.compile(r"[A-Za-z](?:[A-Za-z0-9-]|[ \t]+(?=[A-Za-z0-9]))*")
-_ANNOT_KEY_RE = re.compile(r"[a-z]+")
+def _error(code: str, message: str, span: SourceSpan) -> ParseError:
+    return ParseError([Diagnostic(Severity.ERROR, code, message, span)])
+
+
+# Whitespace and '#' comments before a token. A comment runs to the end of
+# its line; the lookahead keeps a backtracking match from ending it early.
+_WS = r"[ \t\n]*(?:#[^\n]*(?=\n|\Z)[ \t\n]*)*"
+_NAME = r"[A-Za-z](?:[A-Za-z0-9-]|[ \t]+(?=[A-Za-z0-9]))*"
+_NAME_RE = re.compile(_NAME)
 _WS_RE = re.compile(r"[ \t\n]+")
+# One token of the structure grammar: a name, or a single other character
+# ("" at the end of input).
+_TOKEN_RE = re.compile(rf"{_WS}(?:({_NAME})|(.?))")
+# One annotation entry, ``key = value`` and the ';' or ')' after it. Every
+# part may be empty, so the match always succeeds; the first part found
+# empty is the one missing, and where it starts is where the error is.
+_ENTRY_RE = re.compile(
+    rf"{_WS}(?P<key>[a-z]*){_WS}(?P<eq>=?){_WS}"
+    r'(?:(?P<quote>")(?P<text>(?:[^"\\\n]|\\[\s\S]?)*)(?P<close>"?)|(?P<bare>[^;)\n]*))'
+    rf"{_WS}(?P<sep>[;)]?)"
+)
+_UNESCAPE_RE = re.compile(r"\\([\s\S]?)")
 
 _OPENERS = "<{["
 _CLOSERS = ">}]"
@@ -80,6 +108,10 @@ _UNESCAPES = {"\\": "\\", '"': '"', "'": "'", "t": "\t", "n": "\n", "r": "\r"}
 
 def _escape(value: str) -> str:
     return "".join(_ESCAPES.get(ch, ch) for ch in value)
+
+
+def _unescape(m: re.Match) -> str:
+    return _UNESCAPES.get(m[1], "\\" + m[1])
 
 
 def parse(text: str) -> MessageStructure:
@@ -100,288 +132,204 @@ def parse_formula(text: str) -> Formula:
 
 
 class _Parser:
+    """Recursive descent over string offsets with one token of lookahead.
+
+    ``name`` is the name at the current token (None if it is not a name),
+    ``ch`` its first character ("" at the end of input), and ``start`` and
+    ``end`` its offsets. Line and column numbers are looked up only when a
+    node or a diagnostic needs a span."""
+
     def __init__(self, text: str):
         self.text = text
-        self.pos = 0
-        self.line = 1
-        self.col = 1
+        self.line_starts = [0, *accumulate(len(line) + 1 for line in text.split("\n"))]
+        self.depth = 0
+        self.end = 0
+        self._next()
 
-    # -- character machinery ------------------------------------------------
+    def _next(self) -> None:
+        m = _TOKEN_RE.match(self.text, self.end)
+        self.name, ch = m.groups()
+        self.ch = ch if self.name is None else self.name[0]
+        self.start, self.end = m.start(m.lastindex), m.end()
 
-    def _peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+    def _loc(self, offset: int) -> tuple[int, int]:
+        line = bisect_right(self.line_starts, offset)
+        return line, offset - self.line_starts[line - 1] + 1
 
-    def _advance(self, n: int = 1) -> None:
-        for _ in range(n):
-            if self.pos >= len(self.text):
-                return
-            if self.text[self.pos] == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-            self.pos += 1
+    def _span(self, start: int, end: int) -> SourceSpan:
+        """The span of ``text[start:end]``. It ends one column before
+        ``end``, but never before column 1 or before it starts, so an empty
+        range is the one character at ``start``."""
+        line, col = self._loc(start)
+        end_line, end_col = self._loc(end)
+        end_col = max(1, end_col - 1)
+        if (end_line, end_col) < (line, col):
+            end_line, end_col = line, col
+        return SourceSpan(line, col, end_line, end_col)
 
-    def _here(self) -> tuple[int, int]:
-        return (self.line, self.col)
+    def _fail(self, code: str, message: str, start: int, end: int | None = None) -> NoReturn:
+        raise _error(code, message, self._span(start, start if end is None else end))
 
-    def _char_span(self) -> SourceSpan:
-        return SourceSpan(self.line, self.col, self.line, self.col)
-
-    def _span_from(self, start: tuple[int, int]) -> SourceSpan:
-        end_line, end_col = self.line, max(1, self.col - 1)
-        if (end_line, end_col) < start:
-            end_line, end_col = start
-        return SourceSpan(start[0], start[1], end_line, end_col)
-
-    def _skip_ws(self) -> None:
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch in " \t\n":
-                self._advance()
-            elif ch == "#":
-                while self.pos < len(self.text) and self.text[self.pos] != "\n":
-                    self._advance()
-            else:
-                return
-
-    def _fail(self, code: str, message: str, span: SourceSpan | None = None) -> None:
-        raise ParseError(
-            [Diagnostic(Severity.ERROR, code, message, span or self._char_span())]
-        )
-
-    # -- tokens --------------------------------------------------------------
-
-    def _read_name(self, context: str) -> tuple[str, SourceSpan]:
-        m = _NAME_RE.match(self.text, self.pos)
-        if m is None:
-            ch = self._peek()
-            if ch == "":
-                self._fail("P007", f"unexpected end of input, expected {context}")
-            self._fail("P007", f"unexpected character {ch!r}, expected {context}")
-        start = self._here()
-        self._advance(len(m.group(0)))
-        value = _WS_RE.sub(" ", m.group(0))
-        return value, self._span_from(start)
+    def _read_name(self, context: str) -> tuple[str, int, int]:
+        name, start, end = self.name, self.start, self.end
+        if name is None:
+            if not self.ch:
+                self._fail("P007", f"unexpected end of input, expected {context}", start)
+            self._fail("P007", f"unexpected character {self.ch!r}, expected {context}", start)
+        self._next()
+        return _WS_RE.sub(" ", name), start, end
 
     # -- grammar ---------------------------------------------------------------
 
     def parse_structure(self) -> MessageStructure:
-        self._skip_ws()
-        name, name_span = self._read_name("a structure name")
-        self._skip_ws()
-        if self._peek() != "=":
-            self._fail("P007", f"expected '=' after structure name {name!r}")
-        self._advance()
+        name, start, _ = self._read_name("a structure name")
+        if self.ch != "=":
+            self._fail("P007", f"expected '=' after structure name {name!r}", self.start)
+        self._next()
         items = self._parse_list()
-        self._skip_ws()
-        if self._peek() != "":
-            ch = self._peek()
-            if ch in _CLOSERS:
-                self._fail("P001", f"unbalanced bracket: stray {ch!r}")
-            self._fail("P007", f"unexpected trailing input {ch!r}")
-        root = self._resolve_root(items, name_span)
-        end = items[-1].span or name_span
-        span = SourceSpan(
-            name_span.start_line, name_span.start_col, end.end_line, end.end_col
-        )
-        return MessageStructure(name, root, span=span)
+        if self.ch:
+            if self.ch in _CLOSERS:
+                self._fail("P001", f"unbalanced bracket: stray {self.ch!r}", self.start)
+            self._fail("P007", f"unexpected trailing input {self.ch!r}", self.start)
+        end = items[-1].span
+        span = SourceSpan(*self._loc(start), end.end_line, end.end_col)
+        return MessageStructure(name, self._resolve_root(items), span=span)
 
-    def _resolve_root(self, items: list[Substructure], at: SourceSpan) -> Aggregation | Iteration:
+    def _resolve_root(self, items: list[Substructure]) -> Aggregation | Iteration:
         if len(items) == 1:
             only = items[0]
             if isinstance(only, (Aggregation, Iteration)) and only.name is None:
                 return only
             if isinstance(only, Specialisation) and only.name is None:
-                self._fail(
-                    "P004",
-                    "a specialisation cannot be the initial substructure",
-                    only.span,
-                )
+                raise _error("P004", "a specialisation cannot be the initial substructure", only.span)
         # Unbracketed top level: the initial aggregation is left implicit.
-        span = SourceSpan(
-            items[0].span.start_line if items[0].span else at.start_line,
-            items[0].span.start_col if items[0].span else at.start_col,
-            items[-1].span.end_line if items[-1].span else at.end_line,
-            items[-1].span.end_col if items[-1].span else at.end_col,
-        )
+        first, last = items[0].span, items[-1].span
+        span = SourceSpan(first.start_line, first.start_col, last.end_line, last.end_col)
         return Aggregation(None, tuple(items), span=span)
 
     def _parse_list(self) -> list[Substructure]:
         items: list[Substructure] = []
         while True:
-            self._skip_ws()
-            ch = self._peek()
-            if ch == "" or ch in _CLOSERS or ch == "|" or ch == "+":
+            if not self.ch or self.ch in ">}]|+":
                 # Nothing where a substructure is required: at list start,
                 # or right after a '+' separator.
-                self._fail("P003", "empty substructure list")
+                self._fail("P003", "empty substructure list", self.start)
             items.append(self._parse_element())
-            self._skip_ws()
-            if self._peek() == "+":
-                self._advance()
-                continue
-            return items
+            if self.ch != "+":
+                return items
+            self._next()
 
     def _parse_element(self) -> Substructure:
-        ch = self._peek()
-        if ch in _OPENERS:
-            return self._parse_complex(None, None)
-        name, name_span = self._read_name("a substructure")
-        self._skip_ws()
-        if self._peek() == "(":
-            properties = self._parse_annotation(name_span)
-            span = self._span_from((name_span.start_line, name_span.start_col))
-            self._skip_ws()
-            if self._peek() == "=":
-                self._fail(
-                    "P007",
-                    f"annotated name {name!r} cannot introduce a complex substructure",
-                )
-            return Field(name, properties, span=span)
-        if self._peek() == "=":
-            eq_start = self._here()
-            self._advance()
-            head_span = SourceSpan(
-                name_span.start_line, name_span.start_col, eq_start[0], eq_start[1]
-            )
-            self._skip_ws()
-            if self._peek() not in _OPENERS:
+        name, start = None, self.start
+        if self.ch not in _OPENERS:
+            name, start, end = self._read_name("a substructure")
+            if self.ch == "(":
+                properties, end = self._parse_annotation()
+                if self.ch == "=":
+                    self._fail(
+                        "P007",
+                        f"annotated name {name!r} cannot introduce a complex substructure",
+                        self.start,
+                    )
+                return Field(name, properties, span=self._span(start, end))
+            if self.ch != "=":
+                return Field(name, span=self._span(start, end))
+            eq = self.start
+            self._next()
+            if not self.ch or self.ch not in _OPENERS:
                 self._fail(
                     "P002",
                     f"{name!r} = must be followed by '<', '{{', or '[' "
                     "(a bare name is always a field)",
-                    head_span,
+                    start,
+                    eq + 1,
                 )
-            return self._parse_complex(name, name_span)
-        return Field(name, span=name_span)
-
-    def _parse_complex(self, name: str | None, name_span: SourceSpan | None) -> Substructure:
-        opener = self._peek()
-        opener_span = self._char_span()
-        start = (
-            (name_span.start_line, name_span.start_col)
-            if name_span is not None
-            else self._here()
-        )
-        self._advance()
+        opener, opened = self.ch, self.start
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self._fail("P008", f"nesting too deep: more than {MAX_NESTING} levels", opened)
+        self._next()
+        lists = [tuple(self._parse_list())]
+        while opener == "[" and self.ch == "|":
+            self._next()
+            lists.append(tuple(self._parse_list()))
         closer = _MATCHING[opener]
+        if self.ch != closer:
+            if not self.ch:
+                self._fail("P001", f"unbalanced bracket: {opener!r} is never closed", opened)
+            if self.ch in _CLOSERS:
+                self._fail("P001", f"unbalanced bracket: expected {closer!r}, found {self.ch!r}", self.start)
+            self._fail("P007", f"expected '+' or {closer!r}, found {self.ch!r}", self.start)
+        span = self._span(start, self.end)
+        self._next()
+        self.depth -= 1
         if opener == "[":
-            variants = [tuple(self._parse_list())]
-            self._skip_ws()
-            while self._peek() == "|":
-                self._advance()
-                variants.append(tuple(self._parse_list()))
-                self._skip_ws()
-            self._expect_closer(closer, opener, opener_span)
-            return Specialisation(name, tuple(variants), span=self._span_from(start))
-        children = tuple(self._parse_list())
-        self._skip_ws()
-        self._expect_closer(closer, opener, opener_span)
-        node_type = Aggregation if opener == "<" else Iteration
-        return node_type(name, children, span=self._span_from(start))
-
-    def _expect_closer(self, closer: str, opener: str, opener_span: SourceSpan) -> None:
-        ch = self._peek()
-        if ch == closer:
-            self._advance()
-            return
-        if ch == "":
-            self._fail("P001", f"unbalanced bracket: {opener!r} is never closed", opener_span)
-        if ch in _CLOSERS:
-            self._fail("P001", f"unbalanced bracket: expected {closer!r}, found {ch!r}")
-        self._fail("P007", f"expected '+' or {closer!r}, found {ch!r}")
+            return Specialisation(name, tuple(lists), span=span)
+        return (Aggregation if opener == "<" else Iteration)(name, lists[0], span=span)
 
     # -- property annotations --------------------------------------------------
 
-    def _parse_annotation(self, name_span: SourceSpan) -> FieldProperties:
-        open_span = self._char_span()
-        self._advance()  # consume '('
-        entries: list[tuple[str, str, SourceSpan]] = []
+    def _parse_annotation(self) -> tuple[FieldProperties, int]:
+        """Read the annotation that opens at the current '(' token; return
+        its properties and the offset just past its ')'."""
+        text, opened, pos = self.text, self.start, self.end
+        entries: dict[str, tuple[str, int, int]] = {}
         while True:
-            self._skip_ws()
-            ch = self._peek()
-            if ch == ")":
-                self._advance()
+            m = _ENTRY_RE.match(text, pos)
+            key = m["key"]
+            if not key:
+                at = m.start("key")
+                if text.startswith(")", at):
+                    pos = at + 1
+                    break
+                if at == len(text):
+                    self._fail("P005", "unterminated property annotation", opened)
+                self._fail("P005", f"expected a property key, found {text[at]!r}", at)
+            if not m["eq"]:
+                self._fail("P005", f"expected '=' after property key {key!r}", m.start("eq"))
+            if m["quote"]:
+                start, end = m.start("quote"), m.end("close")
+                if not m["close"]:
+                    self._fail("P005", "unterminated string in annotation", start, end)
+                value = _UNESCAPE_RE.sub(_unescape, m["text"])
+            else:
+                start, end = m.span("bare")
+                value = m["bare"].strip()
+                if not value:
+                    self._fail("P005", f"missing value for property {key!r}", end)
+            if key in entries:
+                self._fail("P005", f"duplicate property key {key!r}", *m.span("key"))
+            entries[key] = (value, start, end)
+            pos = m.end()
+            if m["sep"] == ")":
                 break
-            if ch == "":
-                self._fail("P005", "unterminated property annotation", open_span)
-            key_match = _ANNOT_KEY_RE.match(self.text, self.pos)
-            if key_match is None:
-                self._fail("P005", f"expected a property key, found {ch!r}")
-            key_start = self._here()
-            self._advance(len(key_match.group(0)))
-            key = key_match.group(0)
-            key_span = self._span_from(key_start)
-            self._skip_ws()
-            if self._peek() != "=":
-                self._fail("P005", f"expected '=' after property key {key!r}")
-            self._advance()
-            self._skip_ws()
-            value, value_span = self._read_annotation_value(key)
-            entries.append((key, value, value_span))
-            if any(e[0] == key for e in entries[:-1]):
-                self._fail("P005", f"duplicate property key {key!r}", key_span)
-            self._skip_ws()
-            if self._peek() == ";":
-                self._advance()
-                continue
-            if self._peek() == ")":
-                self._advance()
-                break
-            self._fail("P005", f"expected ';' or ')' in annotation, found {self._peek()!r}")
+            if not m["sep"]:
+                at = m.start("sep")
+                self._fail("P005", f"expected ';' or ')' in annotation, found {text[at:at + 1]!r}", at)
         if not entries:
-            self._fail("P005", "empty property annotation", open_span)
-        return self._build_properties(entries)
+            self._fail("P005", "empty property annotation", opened)
+        self.end = pos
+        self._next()
+        return self._build_properties(entries), pos
 
-    def _read_annotation_value(self, key: str) -> tuple[str, SourceSpan]:
-        start = self._here()
-        if self._peek() == '"':
-            return self._read_quoted()
-        # Bare value (op, domain, required, visible): runs to ';' or ')'.
-        chunk = []
-        while self._peek() not in (";", ")", "", "\n"):
-            chunk.append(self._peek())
-            self._advance()
-        value = "".join(chunk).strip()
-        if not value:
-            self._fail("P005", f"missing value for property {key!r}")
-        return value, self._span_from(start)
-
-    def _read_quoted(self) -> tuple[str, SourceSpan]:
-        start = self._here()
-        self._advance()  # opening quote
-        out: list[str] = []
-        while True:
-            ch = self._peek()
-            if ch == "" or ch == "\n":
-                self._fail("P005", "unterminated string in annotation", self._span_from(start))
-            if ch == '"':
-                self._advance()
-                return "".join(out), self._span_from(start)
-            if ch == "\\":
-                self._advance()
-                esc = self._peek()
-                self._advance()
-                out.append(_UNESCAPES.get(esc, "\\" + esc))
-                continue
-            out.append(ch)
-            self._advance()
-
-    def _build_properties(self, entries: list[tuple[str, str, SourceSpan]]) -> FieldProperties:
-        values = {key: (value, span) for key, value, span in entries}
+    def _build_properties(self, entries: dict[str, tuple[str, int, int]]) -> FieldProperties:
+        """Turn the entries, each a value with the offsets of its text, into
+        field properties."""
         op: str | None = None
         formula: Formula | None = None
         kwargs: dict = {}
-        for key, (value, span) in values.items():
+        for key, (value, start, end) in entries.items():
             if key == "op":
                 if value not in ("i", "g", "d"):
-                    self._fail("P006", f"unknown acquisition operation {value!r}", span)
+                    self._fail("P006", f"unknown acquisition operation {value!r}", start, end)
                 op = value
             elif key == "formula":
-                formula = self._parse_formula_value(value, span)
+                formula = self._parse_formula_value(value, start, end)
             elif key == "domain":
-                kwargs["domain"] = self._parse_domain_value(value, span)
+                try:
+                    kwargs["domain"] = _domain_from_text(value)
+                except ValueError as exc:
+                    self._fail("P005", str(exc), start, end)
             elif key == "example":
                 kwargs["example"] = value
             elif key == "desc":
@@ -390,44 +338,32 @@ class _Parser:
                 kwargs["label"] = value
             elif key == "link":
                 if not MEMORY_LINK_RE.fullmatch(value):
-                    self._fail("P005", f"link must be 'Entity.attribute': {value!r}", span)
+                    self._fail("P005", f"link must be 'Entity.attribute': {value!r}", start, end)
                 kwargs["memory_link"] = value
             elif key == "required":
-                kwargs["compulsory"] = self._parse_bool(value, span)
+                kwargs["compulsory"] = self._parse_bool(value, start, end)
             elif key == "visible":
-                kwargs["visible"] = self._parse_bool(value, span)
+                kwargs["visible"] = self._parse_bool(value, start, end)
             elif key == "init":
-                kwargs["initialisation"] = self._parse_formula_value(value, span)
+                kwargs["initialisation"] = self._parse_formula_value(value, start, end)
             else:
-                self._fail("P005", f"unknown property key {key!r}", span)
+                self._fail("P005", f"unknown property key {key!r}", start, end)
         if formula is not None and op != "d":
-            span = values["formula"][1]
-            self._fail("P005", "a derivation formula requires op=d", span)
+            self._fail("P005", "a derivation formula requires op=d", *entries["formula"][1:])
         if op is not None:
             kwargs["acquisition"] = Acquisition(op, formula)
         return FieldProperties(**kwargs)
 
-    def _parse_bool(self, value: str, span: SourceSpan) -> bool:
-        if value == "true":
-            return True
-        if value == "false":
-            return False
-        self._fail("P005", f"expected true or false, found {value!r}", span)
-        raise AssertionError  # unreachable
+    def _parse_bool(self, value: str, start: int, end: int) -> bool:
+        if value not in ("true", "false"):
+            self._fail("P005", f"expected true or false, found {value!r}", start, end)
+        return value == "true"
 
-    def _parse_domain_value(self, value: str, span: SourceSpan) -> Domain:
-        try:
-            return _domain_from_text(value)
-        except ValueError as exc:
-            self._fail("P005", str(exc), span)
-            raise AssertionError  # unreachable
-
-    def _parse_formula_value(self, value: str, span: SourceSpan) -> Formula:
+    def _parse_formula_value(self, value: str, start: int, end: int) -> Formula:
         try:
             return parse_formula(value)
         except ValueError as exc:
-            self._fail("P005", f"bad formula: {exc}", span)
-            raise AssertionError  # unreachable
+            self._fail("P005", f"bad formula: {exc}", start, end)
 
 
 def _domain_from_text(value: str) -> Domain:
@@ -780,15 +716,10 @@ def _detabulate(text: str) -> str:
             parts.append(f'example="{example}"')
         if extras:
             if not (extras.startswith("(") and extras.endswith(")")):
-                raise ParseError(
-                    [
-                        Diagnostic(
-                            Severity.ERROR,
-                            "P005",
-                            "extra properties cell must be a parenthesised annotation",
-                            SourceSpan(lineno, 1, lineno, max(1, len(line))),
-                        )
-                    ]
+                raise _error(
+                    "P005",
+                    "extra properties cell must be a parenthesised annotation",
+                    SourceSpan(lineno, 1, lineno, max(1, len(line))),
                 )
             parts.append(extras[1:-1])
         if not parts:
@@ -809,15 +740,10 @@ def _inject_annotation(struct_text: str, annotation: str, lineno: int) -> str:
     while lead and (lead[0] in "<{[|" or lead[0] in " \t"):
         lead = lead[1:]
     if not lead or lead.endswith("="):
-        raise ParseError(
-            [
-                Diagnostic(
-                    Severity.ERROR,
-                    "P005",
-                    "property columns are only allowed on field rows",
-                    SourceSpan(lineno, 1, lineno, max(1, len(struct_text))),
-                )
-            ]
+        raise _error(
+            "P005",
+            "property columns are only allowed on field rows",
+            SourceSpan(lineno, 1, lineno, max(1, len(struct_text))),
         )
     return struct_text[:trailer_start] + f" ({annotation})" + struct_text[trailer_start:]
 

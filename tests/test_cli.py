@@ -50,6 +50,21 @@ def test_parse_non_utf8_file_exits_2(run_cli, corpus_dir):
     assert "Traceback" not in result.stderr
 
 
+@pytest.mark.parametrize(
+    "text, diagnostic",
+    [
+        ("A = < b + C =", "cut.ms:1:11: error: P002: "),
+        ("A=" + "<" * 400 + "x" + ">" * 400 + "\n", "cut.ms:1:303: error: P008: "),
+    ],
+)
+def test_parse_error_at_the_end_or_too_deep_exits_1(run_cli, corpus_dir, text, diagnostic):
+    (corpus_dir / "cut.ms").write_text(text, encoding="utf-8")
+    result = run_cli("parse", "cut.ms", cwd=corpus_dir)
+    assert result.returncode == 1
+    assert diagnostic in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 def test_canon_prints_the_canonical_form(run_cli, corpus_dir):
     result = run_cli("canon", "form1.ms", cwd=corpus_dir)
     assert result.returncode == 0

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     ORDER_TABLE,
@@ -23,8 +25,10 @@ from msgstruct.core import (
     Specialisation,
     equivalent,
     iter_fields,
+    walk,
 )
 from msgstruct.parser import (
+    MAX_NESTING,
     ParseError,
     parse,
     parse_formula,
@@ -323,3 +327,161 @@ def test_parse_is_deterministic_and_json_stable(order):
 
 def test_print_parse_roundtrip_property():
     prop_print_parse_roundtrip()
+
+
+# ---------------------------------------------------------------------------
+# Scanner edge cases
+# ---------------------------------------------------------------------------
+
+
+def _diagnostic(text: str) -> tuple[str, str, str]:
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    (diag,) = exc.value.diagnostics
+    s = diag.span
+    return diag.code, diag.message, f"{s.start_line}:{s.start_col}-{s.end_line}:{s.end_col}"
+
+
+def _field_span(ms, name: str) -> str:
+    s = next(f for f in iter_fields(ms) if f.name == name).span
+    return f"{s.start_line}:{s.start_col}-{s.end_line}:{s.end_col}"
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        # A comment runs to the end of its line, even when it holds '")"'.
+        (
+            'A=<x (example="a"# c=")" +\nB (op=i)>',
+            ("P005", "expected ';' or ')' in annotation, found 'B'", "2:1-2:1"),
+        ),
+        ("A=<x (op=i\nB)>", ("P005", "expected ';' or ')' in annotation, found 'B'", "2:1-2:1")),
+        ("A=<x (op=i; op=g)>", ("P005", "duplicate property key 'op'", "1:13-1:14")),
+        ('A=<x (example="a\\', ("P005", "unterminated string in annotation", "1:15-1:17")),
+        ("A=<x (op=i #n\n)>", ("P006", "unknown acquisition operation 'i #n'", "1:10-1:13")),
+        # A name followed by '=' at the end of input is P002, like any non-opener.
+        (
+            "A = < b + C =",
+            (
+                "P002",
+                "'C' = must be followed by '<', '{', or '[' (a bare name is always a field)",
+                "1:11-1:13",
+            ),
+        ),
+        (
+            "A = C =",
+            (
+                "P002",
+                "'C' = must be followed by '<', '{', or '[' (a bare name is always a field)",
+                "1:5-1:7",
+            ),
+        ),
+    ],
+)
+def test_scanner_diagnostics(text, expected):
+    assert _diagnostic(text) == expected
+
+
+def test_annotation_entries_may_continue_on_the_next_line():
+    ms = parse("A=<x (op=i\n; domain=text)>")
+    assert _field_span(ms, "x") == "1:4-2:14"
+    assert next(iter_fields(ms)).properties.domain == BasicDomain("text")
+
+
+def test_quoted_values_keep_unknown_escapes():
+    ms = parse('A=<x (example="a\\\nb")>')
+    assert next(iter_fields(ms)).properties.example == "a\\\nb"
+    ms = parse('A=<x (example="\\q")>')
+    assert next(iter_fields(ms)).properties.example == "\\q"
+
+
+def test_spans_after_a_bom_and_crlf():
+    ms = parse("\ufeffA=<x +\r\n  y (op=i)>\r\n")
+    assert _field_span(ms, "y") == "2:3-2:10"
+
+
+def test_annotated_name_with_mixed_whitespace():
+    ms = parse("A=<Person\t in  charge (op=i)>")
+    assert ms.root.children[0].name == "Person in charge"
+    assert _field_span(ms, "Person in charge") == "1:4-1:28"
+
+
+# ---------------------------------------------------------------------------
+# Nesting limit
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("opener, closer", [("<", ">"), ("{", "}"), ("[", "]")])
+def test_nesting_up_to_the_limit_parses(opener, closer):
+    depth = MAX_NESTING - 1  # inside the root aggregation
+    ms = parse("A=<" + opener * depth + "x" + closer * depth + ">")
+    assert len(list(walk(ms))) == MAX_NESTING + 1
+
+
+@pytest.mark.parametrize("depth", [MAX_NESTING + 1, 5000])
+def test_nesting_past_the_limit_is_p008(depth):
+    code, message, span = _diagnostic("A=" + "<" * depth + "x" + ">" * depth)
+    assert code == "P008"
+    assert message == f"nesting too deep: more than {MAX_NESTING} levels"
+    column = 3 + MAX_NESTING  # the opener that crosses the limit
+    assert span == f"1:{column}-1:{column}"
+
+
+# ---------------------------------------------------------------------------
+# Total over arbitrary text
+# ---------------------------------------------------------------------------
+
+_PIECES = list('<>{}[]|+=();:"\\#\n\r\t .-1xyzABé\ufeff') + [
+    "FIELD\tOP\tDOMAIN\tEXAMPLE VALUE\n",
+    "op=",
+    "domain=",
+    'example="',
+    "C =",
+    "# note\n",
+]
+_CORPUS = (ORDER_TEXT, ORDER_TABLE, VEHICLE_AMBIGUOUS, VEHICLE_NESTED)
+_pieces = st.lists(st.sampled_from(_PIECES), max_size=40).map("".join)
+_edits = st.lists(
+    st.tuples(
+        st.integers(0, 2000),
+        st.sampled_from(["insert", "delete", "replace", "truncate"]),
+        st.sampled_from(_PIECES),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+def _mutate(text: str, edits: list[tuple[int, str, str]]) -> str:
+    for at, edit, piece in edits:
+        at %= len(text) + 1
+        if edit == "insert":
+            text = text[:at] + piece + text[at:]
+        elif edit == "delete":
+            text = text[:at] + text[at + len(piece) :]
+        elif edit == "replace":
+            text = text[:at] + piece + text[at + len(piece) :]
+        else:
+            text = text[:at]
+    return text
+
+
+_texts = _pieces | st.builds(_mutate, st.sampled_from(_CORPUS), _edits)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_texts)
+def test_parse_is_total_on_arbitrary_text(text):
+    """``parse`` returns a structure or raises ParseError, and every span it
+    reports lies inside the input."""
+    lines = text.lstrip("\ufeff").replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    try:
+        spans = [n.span for n in walk(parse(text))]
+    except ParseError as exc:
+        spans = [d.span for d in exc.diagnostics]
+    for span in spans:
+        assert 1 <= span.start_line <= span.end_line <= len(lines)
+        assert span.start_col >= 1 and span.end_col >= 1
+        if "\t" not in text:  # the tabular layout is rewritten, so columns move
+            assert span.start_col <= len(lines[span.start_line - 1]) + 1
+            assert span.end_col <= len(lines[span.end_line - 1]) + 1
