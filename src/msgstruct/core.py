@@ -322,19 +322,22 @@ class MessageStructure:
 
 
 def walk(node: MessageStructure | Substructure) -> Iterator[Substructure]:
-    """Depth-first pre-order over every substructure, each visited once."""
-    if isinstance(node, MessageStructure):
-        yield from walk(node.root)
-        return
-    yield node
-    match node:
-        case Aggregation(_, children) | Iteration(_, children):
-            for child in children:
-                yield from walk(child)
-        case Specialisation(_, variants):
-            for variant in variants:
-                for child in variant:
-                    yield from walk(child)
+    """Depth-first pre-order over every substructure, each visited once.
+
+    A structure yields its root first; a specialisation's variants come in
+    order, and the children of each variant in order. The traversal keeps
+    an explicit stack, so it is linear in the number of nodes at any depth
+    and never meets the interpreter's recursion limit.
+    """
+    stack = [node.root if isinstance(node, MessageStructure) else node]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, (Aggregation, Iteration)):
+            stack.extend(reversed(node.children))
+        elif isinstance(node, Specialisation):
+            for variant in reversed(node.variants):
+                stack.extend(reversed(variant))
 
 
 def iter_fields(node: MessageStructure | Substructure) -> Iterator[Field]:
@@ -420,12 +423,31 @@ def _shape(ms: MessageStructure) -> tuple:
     # pre-order: a field's name, or a complex node's kind and child count.
     # The counts make the token sequence determine the tree, and a flat
     # tuple compares without recursion however deep the tree is.
+    #
+    # The tokens are read off the tree as written, without building the
+    # canonical one: the content of an iteration or of a variant is pushed
+    # as a tuple, which stands for the aggregation ``_wrap`` makes of it.
     tokens: list = [ms.name]
-    for node in walk(canonicalize(ms)):
+    stack: list = [ms.root]
+    while stack:
+        node = stack.pop()
         if isinstance(node, Field):
             tokens.append(node.name)
+        elif isinstance(node, tuple):
+            if len(node) == 1 and isinstance(node[0], Aggregation):
+                stack.append(node[0])
+            else:
+                tokens.append((Aggregation, len(node)))
+                stack.extend(reversed(node))
+        elif isinstance(node, Aggregation):
+            tokens.append((Aggregation, len(node.children)))
+            stack.extend(reversed(node.children))
+        elif isinstance(node, Iteration):
+            tokens.append((Iteration, 1))
+            stack.append(node.children)
         elif isinstance(node, Specialisation):
             tokens.append((Specialisation, len(node.variants)))
+            stack.extend(reversed(node.variants))
         else:
-            tokens.append((type(node), len(node.children)))
+            raise TypeError(f"not a substructure: {node!r}")
     return tuple(tokens)

@@ -31,7 +31,6 @@ from .core import (
     MessageStructure,
     Specialisation,
     Substructure,
-    field_names,
     formula_refs,
     iter_fields,
     walk,
@@ -236,15 +235,26 @@ def lint(
     written down, not what is left out) unless ``config.report_missing``
     asks for info-level reminders about absent highly-recommended ones.
     """
+    # The phase's row of the matrix, resolved once per call: the kinds that
+    # report, with their severity and the word for their level, and the
+    # kinds that are highly recommended.
+    reported: dict[str, tuple[Severity, str]] = {}
+    wanted: list[str] = []
+    for kind, level in zip(PROPERTY_KINDS, _ROWS[phase]):
+        severity = config.severity_map[level]
+        if severity is not None:
+            word = "discouraged" if level is Level.DISCOURAGED else "not recommended"
+            reported[kind] = (severity, word)
+        if level is Level.HIGHLY_RECOMMENDED:
+            wanted.append(kind)
     out: list[Diagnostic] = []
     for f in iter_fields(ms):
         present = _present_kinds(f)
         for kind in present:
-            level = APPLICABILITY[(phase, kind)]
-            severity = config.severity_map[level]
-            if severity is None:
+            rule = reported.get(kind)
+            if rule is None:
                 continue
-            word = "discouraged" if level is Level.DISCOURAGED else "not recommended"
+            severity, word = rule
             out.append(
                 Diagnostic(
                     severity,
@@ -254,7 +264,7 @@ def lint(
                 )
             )
         if config.report_missing:
-            for label in _missing_labels(phase, present):
+            for label in _missing_labels(wanted, present):
                 out.append(
                     Diagnostic(
                         Severity.INFO,
@@ -267,17 +277,13 @@ def lint(
     return out
 
 
-def _missing_labels(phase: Phase, present: list[str]) -> list[str]:
+def _missing_labels(wanted: list[str], present: list[str]) -> list[str]:
+    # ``wanted``: the kinds highly recommended in the phase, in matrix order.
     missing = []
-    if (
-        not any(k.startswith("op-") for k in present)
-        and APPLICABILITY[(phase, "op-i")] is Level.HIGHLY_RECOMMENDED
-    ):
+    if "op-i" in wanted and not any(k.startswith("op-") for k in present):
         missing.append("acquisition operation")
-    for kind in PROPERTY_KINDS:
-        if kind.startswith("op-") or kind in present:
-            continue
-        if APPLICABILITY[(phase, kind)] is Level.HIGHLY_RECOMMENDED:
+    for kind in wanted:
+        if not kind.startswith("op-") and kind not in present:
             missing.append(_LABELS[kind])
     return missing
 
@@ -289,8 +295,6 @@ def guideline_checks(
 ) -> list[Diagnostic]:
     """Methodological checks G1-G4 (see module docstring)."""
     out: list[Diagnostic] = []
-    known = set(field_names(ms))
-
     if not isinstance(ms.root, (Aggregation, Iteration)):
         out.append(
             Diagnostic(
@@ -301,10 +305,25 @@ def guideline_checks(
             )
         )
 
-    for f in iter_fields(ms):
+    # One walk: the fields feed G1 and G2, which need every field name
+    # first; G3 is decided per sibling list on the way and reported last.
+    fields: list[Field] = []
+    carriers: list[Diagnostic] = []
+    for node in walk(ms):
+        if isinstance(node, Field):
+            fields.append(node)
+        elif isinstance(node, Specialisation):
+            for variant in node.variants:
+                carriers.extend(_check_domain_carrier(variant))
+        else:
+            carriers.extend(_check_domain_carrier(node.children))
+    known = {f.name for f in fields}
+    wordlist = set(config.g1_wordlist)
+
+    for f in fields:
         if phase is Phase.ANALYSIS:
             words = {w.lower() for w in f.name.replace("-", " ").split()}
-            hits = sorted(words & set(config.g1_wordlist))
+            hits = sorted(words & wordlist)
             if hits:
                 out.append(
                     Diagnostic(
@@ -333,16 +352,11 @@ def guideline_checks(
                         )
                     )
 
-    for node in walk(ms):
-        if isinstance(node, (Aggregation, Iteration)):
-            out.extend(_check_domain_carrier(list(node.children)))
-        elif isinstance(node, Specialisation):
-            for variant in node.variants:
-                out.extend(_check_domain_carrier(list(variant)))
+    out.extend(carriers)
     return out
 
 
-def _check_domain_carrier(siblings: list[Substructure]) -> list[Diagnostic]:
+def _check_domain_carrier(siblings: tuple[Substructure, ...]) -> list[Diagnostic]:
     """G3: an enumerated field next to a specialisation whose variant names
     repeat the enum literals specifies the same domain twice (the Table-style
     ``[theo prac]`` next to ``[THEORY = ... | PRACTICE = ...]`` pattern)."""

@@ -547,34 +547,48 @@ def _annotation_suffix(f: Field) -> str:
     return " (" + "; ".join(parts) + ")"
 
 
-def _compact(node: Substructure) -> str:
-    match node:
-        case Field():
-            return node.name + _annotation_suffix(node)
-        case Aggregation(name, children):
-            body = "+".join(_compact(c) for c in children)
-            return _named(name, f"<{body}>")
-        case Iteration(name, children):
-            return _named(name, "{" + _list_body(children) + "}")
-        case Specialisation(name, variants):
-            body = "|".join(_list_body(v) for v in variants)
-            return _named(name, f"[{body}]")
-    raise TypeError(f"not a substructure: {node!r}")
+def _compact(root: Substructure) -> str:
+    # An explicit stack of nodes still to render and of literal text (the
+    # separators and closing brackets), so any depth renders.
+    out: list[str] = []
+    stack: list = [root]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, str):
+            out.append(node)
+            continue
+        if isinstance(node, Field):
+            out.append(node.name + _annotation_suffix(node))
+            continue
+        if isinstance(node, Aggregation):
+            opener, closer, lists = "<", ">", (node.children,)
+        elif isinstance(node, Iteration):
+            opener, closer, lists = "{", "}", (_list_items(node.children),)
+        elif isinstance(node, Specialisation):
+            opener, closer, lists = "[", "]", [_list_items(v) for v in node.variants]
+        else:
+            raise TypeError(f"not a substructure: {node!r}")
+        out.append(f"{node.name}={opener}" if node.name else opener)
+        stack.append(closer)
+        for i, items in enumerate(reversed(lists)):
+            if i:
+                stack.append("|")
+            for j, item in enumerate(reversed(items)):
+                if j:
+                    stack.append("+")
+                stack.append(item)
+    return "".join(out)
 
 
-def _named(name: str | None, body: str) -> str:
-    return f"{name}={body}" if name else body
-
-
-def _list_body(items: tuple[Substructure, ...]) -> str:
+def _list_items(items: tuple[Substructure, ...]) -> tuple[Substructure, ...]:
     # The single anonymous aggregation implicit in an iteration body or a
     # variant can be left out, except when its own single child is an
     # aggregation (eliding would merge two nesting levels on re-parse).
     if len(items) == 1 and isinstance(items[0], Aggregation) and items[0].name is None:
         inner = items[0].children
         if not (len(inner) == 1 and isinstance(inner[0], Aggregation)):
-            return "+".join(_compact(c) for c in inner)
-    return "+".join(_compact(c) for c in items)
+            return inner
+    return items
 
 
 # -- tabular style -----------------------------------------------------------

@@ -65,6 +65,17 @@ def test_parse_error_at_the_end_or_too_deep_exits_1(run_cli, corpus_dir, text, d
     assert "Traceback" not in result.stderr
 
 
+@pytest.mark.parametrize("opener, closer", [("<", ">"), ("{", "}"), ("[", "]")])
+@pytest.mark.parametrize("command", ["parse", "canon"])
+def test_parse_and_canon_print_300_levels(run_cli, corpus_dir, command, opener, closer):
+    text = "M=<" + opener * 299 + "x" + closer * 299 + ">"
+    (corpus_dir / "deep.ms").write_text(text + "\n", encoding="utf-8")
+    result = run_cli(command, "deep.ms", cwd=corpus_dir)
+    assert result.returncode == 0
+    assert "Traceback" not in result.stderr
+    assert result.stdout == text + "\n"
+
+
 def test_canon_prints_the_canonical_form(run_cli, corpus_dir):
     result = run_cli("canon", "form1.ms", cwd=corpus_dir)
     assert result.returncode == 0

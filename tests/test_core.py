@@ -5,20 +5,26 @@ from __future__ import annotations
 import itertools
 
 import pytest
+from hypothesis import given, settings
 
+import strategies as strat
 from conftest import SUGAR_FORMS
 from msgstruct.core import (
     Acquisition,
     Aggregation,
     Field,
+    FieldProperties,
     Iteration,
     MessageStructure,
     Specialisation,
+    _shape,
     canonicalize,
     equivalent,
     field_names,
+    iter_fields,
     walk,
 )
+from msgstruct.lint import Phase, guideline_checks, lint
 from msgstruct.parser import parse
 from properties import prop_canonicalize_idempotent, prop_equivalence_relation
 
@@ -196,3 +202,98 @@ def test_canonicalize_idempotence_property():
 
 def test_equivalence_relation_property():
     prop_equivalence_relation()
+
+
+# ---------------------------------------------------------------------------
+# Linear traversal: differential checks against the recursive definitions,
+# and the depth contract for trees built in code. These hypothesis suites
+# run on their own, outside the acceptance gate's property budget.
+# ---------------------------------------------------------------------------
+
+
+def _reference_walk(node):
+    """Recursive pre-order: the definition ``walk`` must agree with."""
+    if isinstance(node, MessageStructure):
+        yield from _reference_walk(node.root)
+        return
+    yield node
+    if isinstance(node, (Aggregation, Iteration)):
+        for child in node.children:
+            yield from _reference_walk(child)
+    elif isinstance(node, Specialisation):
+        for variant in node.variants:
+            for child in variant:
+                yield from _reference_walk(child)
+
+
+def _reference_shape(ms):
+    """The name, then one token per node of the canonical tree."""
+    tokens = [ms.name]
+    for node in _reference_walk(canonicalize(ms)):
+        if isinstance(node, Field):
+            tokens.append(node.name)
+        elif isinstance(node, Specialisation):
+            tokens.append((Specialisation, len(node.variants)))
+        else:
+            tokens.append((type(node), len(node.children)))
+    return tuple(tokens)
+
+
+def _assert_walk_matches_reference(node):
+    got, want = list(walk(node)), list(_reference_walk(node))
+    assert len(got) == len(want)
+    assert all(a is b for a, b in zip(got, want))
+
+
+_DIFFERENTIAL = settings(max_examples=200, deadline=None, derandomize=True)
+
+
+@_DIFFERENTIAL
+@given(strat.structures())
+def test_differential_walk_and_shape_on_structures(ms):
+    for tree in (ms, canonicalize(ms), canonicalize(ms, keep_names=True)):
+        _assert_walk_matches_reference(tree)
+        _assert_walk_matches_reference(tree.root)
+        assert _shape(tree) == _reference_shape(tree)
+
+
+@_DIFFERENTIAL
+@given(strat.equivalent_pairs())
+def test_differential_walk_and_shape_on_sugar_variants(pair):
+    for ms in pair:
+        _assert_walk_matches_reference(ms)
+        assert _shape(ms) == _reference_shape(ms)
+    assert _shape(pair[0]) == _shape(pair[1])
+
+
+_DEEP = 5000  # far past the parser's MAX_NESTING, which only parse enforces
+
+
+@pytest.mark.parametrize(
+    "wrap, fields",
+    [
+        (lambda node: Aggregation(None, (node,)), ["x"]),
+        (lambda node: Iteration(None, (Field("i"), node)), ["i"] * _DEEP + ["x"]),
+        (lambda node: Specialisation(None, ((node,), (Field("s"),))), ["x"] + ["s"] * _DEEP),
+    ],
+    ids=["aggregation", "iteration", "specialisation"],
+)
+def test_traversals_of_trees_built_in_code_ignore_depth(wrap, fields):
+    # Trees are never compared with == or repr here: both still recurse.
+    def chain(depth):
+        node = Field("x", FieldProperties(label="X"))
+        for _ in range(depth):
+            node = wrap(node)
+        return MessageStructure("M", Aggregation(None, (node,)))
+
+    ms = chain(_DEEP)
+    nodes = list(walk(ms))
+    assert len(nodes) == 1 + _DEEP + len(fields)
+    assert nodes[0] is ms.root and nodes[1] is ms.root.children[0]
+    assert [f.name for f in iter_fields(ms)] == fields
+    assert equivalent(ms, ms)
+    assert not equivalent(ms, chain(_DEEP - 1))
+    for phase in Phase:
+        assert guideline_checks(ms, phase) == []
+    assert [d.code for d in lint(ms, Phase.ANALYSIS)] == ["L-LABEL"]
+    assert lint(ms, Phase.DESIGN_INTERFACE) == []

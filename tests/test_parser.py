@@ -18,11 +18,14 @@ from msgstruct.core import (
     BinaryOp,
     Call,
     EnumeratedDomain,
+    Field,
     FieldRef,
     Iteration,
+    MessageStructure,
     Number,
     ReferenceDomain,
     Specialisation,
+    canonicalize,
     equivalent,
     iter_fields,
     walk,
@@ -416,6 +419,32 @@ def test_nesting_up_to_the_limit_parses(opener, closer):
     depth = MAX_NESTING - 1  # inside the root aggregation
     ms = parse("A=<" + opener * depth + "x" + closer * depth + ">")
     assert len(list(walk(ms))) == MAX_NESTING + 1
+
+
+@pytest.mark.parametrize("opener, closer", [("<", ">"), ("{", "}"), ("[", "]")])
+def test_compact_text_at_the_limit_prints_back(opener, closer):
+    depth = MAX_NESTING - 1
+    text = "A=<" + opener * depth + "x" + closer * depth + ">"
+    ms = parse(text)
+    assert to_text(ms) == text
+    assert to_text(canonicalize(ms)) == text
+
+
+@pytest.mark.parametrize(
+    "wrap, opener, closer",
+    [
+        (lambda node: Aggregation(None, (node,)), "<", ">"),
+        (lambda node: Iteration(None, (node,)), "{", "}"),
+        (lambda node: Specialisation(None, ((node,),)), "[", "]"),
+    ],
+    ids=["aggregation", "iteration", "specialisation"],
+)
+def test_compact_text_of_a_tree_built_in_code_ignores_depth(wrap, opener, closer):
+    node = Field("x")
+    for _ in range(5000):
+        node = wrap(node)
+    ms = MessageStructure("M", Aggregation(None, (node,)))
+    assert to_text(ms) == "M=<" + opener * 5000 + "x" + closer * 5000 + ">"
 
 
 @pytest.mark.parametrize("depth", [MAX_NESTING + 1, 5000])
