@@ -9,26 +9,19 @@ diagnostic (or a negative equiv verdict), 2 usage or I/O problems.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .core import MessageStructure, canonicalize, equivalent
-from .derive import (
-    DerivationError,
-    _ManifestParseError,
-    derive_view,
-    export_diagram,
-    integrate,
-    load_events_manifest,
-)
-from .diagnostics import Diagnostic, Severity, has_errors
-from .fragment import assign_abstract, fragment_1nf, fragments_to_json_obj
-from .lint import DEFAULT_CONFIG, LintConfig, Phase, guideline_checks, lint
-from .parser import ParseError, parse, structure_to_json_obj, to_text
+if TYPE_CHECKING:
+    from .core import MessageStructure
+    from .diagnostics import Diagnostic
+    from .lint import LintConfig
 
-_PHASES = [p.value for p in Phase]
+# Each command imports the modules it runs inside its own function, so that
+# a call loads only those. For the same reason the values of ``lint.Phase``
+# are written out here; a test keeps the two equal.
+_PHASES = ["analysis", "design-memory", "design-interface"]
 
 
 class _UsageError(Exception):
@@ -94,7 +87,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _read_file(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8-sig")
+        with open(path, encoding="utf-8-sig") as f:
+            return f.read()
     except OSError as exc:
         raise _UsageError(f"cannot read {path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
@@ -107,6 +101,8 @@ def _emit_diagnostics(diagnostics: list[Diagnostic], filename: str) -> None:
 
 
 def _parse_or_report(path: str) -> MessageStructure | None:
+    from .parser import ParseError, parse
+
     try:
         return parse(_read_file(path))
     except ParseError as exc:
@@ -115,6 +111,8 @@ def _parse_or_report(path: str) -> MessageStructure | None:
 
 
 def _load_config(path: str | None) -> LintConfig:
+    from .lint import DEFAULT_CONFIG, LintConfig
+
     path = path or os.environ.get("MSGSTRUCT_CONFIG")
     if not path:
         return DEFAULT_CONFIG
@@ -127,6 +125,8 @@ def _load_config(path: str | None) -> LintConfig:
 
 
 def _dump_json(obj: object) -> None:
+    import json
+
     print(json.dumps(obj, indent=2, ensure_ascii=False))
 
 
@@ -136,6 +136,8 @@ def _dump_json(obj: object) -> None:
 
 
 def _cmd_parse(args: argparse.Namespace) -> int:
+    from .parser import structure_to_json_obj, to_text
+
     ms = _parse_or_report(args.file)
     if ms is None:
         return 1
@@ -147,6 +149,9 @@ def _cmd_parse(args: argparse.Namespace) -> int:
 
 
 def _cmd_canon(args: argparse.Namespace) -> int:
+    from .core import canonicalize
+    from .parser import to_text
+
     ms = _parse_or_report(args.file)
     if ms is None:
         return 1
@@ -155,6 +160,9 @@ def _cmd_canon(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    from .diagnostics import has_errors
+    from .lint import Phase, guideline_checks, lint
+
     config = _load_config(args.config)
     ms = _parse_or_report(args.file)
     if ms is None:
@@ -177,6 +185,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _summarise(diagnostics: list[Diagnostic]) -> str:
+    from .diagnostics import Severity
+
     if not diagnostics:
         return "clean"
     counts = {s: 0 for s in Severity}
@@ -188,6 +198,8 @@ def _summarise(diagnostics: list[Diagnostic]) -> str:
 
 
 def _cmd_equiv(args: argparse.Namespace) -> int:
+    from .core import equivalent
+
     ms_a = _parse_or_report(args.file_a)
     ms_b = _parse_or_report(args.file_b)
     if ms_a is None or ms_b is None:
@@ -200,6 +212,17 @@ def _cmd_equiv(args: argparse.Namespace) -> int:
 
 
 def _cmd_derive(args: argparse.Namespace) -> int:
+    from .derive import (
+        DerivationError,
+        _ManifestParseError,
+        derive_view,
+        export_diagram,
+        integrate,
+        load_events_manifest,
+    )
+    from .diagnostics import Severity
+    from .lint import Phase, guideline_checks, lint
+
     config = _load_config(args.config)
     try:
         events = load_events_manifest(args.events)
@@ -236,6 +259,8 @@ def _cmd_derive(args: argparse.Namespace) -> int:
 
 
 def _cmd_fragment(args: argparse.Namespace) -> int:
+    from .fragment import assign_abstract, fragment_1nf, fragments_to_json_obj
+
     ms = _parse_or_report(args.file)
     if ms is None:
         return 1

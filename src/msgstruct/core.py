@@ -47,16 +47,22 @@ class FieldRef:
 
 @dataclass(frozen=True)
 class Number:
+    """Numeric literal in a formula, e.g. ``100`` or ``0.21``."""
+
     value: Union[int, float]
 
 
 @dataclass(frozen=True)
 class Text:
+    """Quoted string literal in a formula, e.g. ``'EUR'``."""
+
     value: str
 
 
 @dataclass(frozen=True)
 class BinaryOp:
+    """Arithmetic on two sub-formulas, e.g. ``:Price * :Quantity``."""
+
     op: str  # one of + - * /
     left: "Formula"
     right: "Formula"
@@ -183,6 +189,10 @@ class Acquisition:
 
 @dataclass(frozen=True)
 class FieldProperties:
+    """The annotations of one field: acquisition, domain, example,
+    description, label, memory link, compulsoriness, initialisation and
+    visibility; ``None`` marks a property left unstated."""
+
     acquisition: Acquisition | None = None
     domain: Domain | None = None
     example: str | None = None

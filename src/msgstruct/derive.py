@@ -33,9 +33,8 @@ Errors:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
-from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .core import (
     Aggregation,
@@ -53,6 +52,9 @@ from .core import (
 )
 from .diagnostics import Diagnostic, Severity, SourceSpan
 from .parser import ParseError, parse, parse_formula, _domain_from_text
+
+if TYPE_CHECKING:
+    from pathlib import Path
 
 __all__ = [
     "CommunicativeEvent",
@@ -99,6 +101,9 @@ class CommunicativeEvent:
 
 @dataclass(frozen=True)
 class Attribute:
+    """An attribute of a derived class: name, domain, acquisition operation,
+    derivation formula, and whether a value may be absent."""
+
     name: str
     domain: Domain | None = None
     acquisition: str | None = None  # 'i' | 'g' | 'd'
@@ -108,6 +113,9 @@ class Attribute:
 
 @dataclass(frozen=True)
 class ClassSpec:
+    """A class of the diagram: its name, how it arose (defined, referenced
+    or subclass), its attributes, and the superclass of a subclass."""
+
     name: str
     kind: str  # defined | referenced | subclass
     attributes: tuple[Attribute, ...] = ()
@@ -116,6 +124,9 @@ class ClassSpec:
 
 @dataclass(frozen=True)
 class Association:
+    """A directed association between two classes: composition, reference or
+    generalisation, with the multiplicity at the target."""
+
     source: str
     target: str
     kind: str  # composition | reference | generalisation
@@ -124,6 +135,8 @@ class Association:
 
 @dataclass(frozen=True)
 class ClassDiagram:
+    """The classes and associations derived from one or more events."""
+
     classes: tuple[ClassSpec, ...] = ()
     associations: tuple[Association, ...] = ()
 
@@ -418,6 +431,8 @@ _PLANTUML_MULT = {"one": "1", "many": "*"}
 def export_diagram(d: ClassDiagram, fmt: str = "json") -> str:
     """Serialise a diagram: ``json`` (schema above) or ``plantuml``."""
     if fmt == "json":
+        import json
+
         return json.dumps(diagram_to_json_obj(d), indent=2, ensure_ascii=False) + "\n"
     if fmt != "plantuml":
         raise ValueError(f"unknown diagram format {fmt!r}")
@@ -472,6 +487,9 @@ def load_events_manifest(path: str | Path) -> list[CommunicativeEvent]:
     """Read a JSON array of ``{id, name, order, file}`` entries, parse each
     referenced ``.ms`` file (paths resolve relative to the manifest), and
     return the events sorted by (order, id)."""
+    import json
+    from pathlib import Path
+
     manifest_path = Path(path)
     raw = json.loads(manifest_path.read_text(encoding="utf-8"))
     if not isinstance(raw, list):

@@ -64,6 +64,9 @@ class Fragment:
 
 @dataclass(frozen=True)
 class AbstractInterfaceStructure:
+    """A fragment with its interface kind: a registry at depth 0, a set of
+    registries below it."""
+
     fragment: Fragment
     kind: str  # REGISTRY | SET_OF_REGISTRIES
 

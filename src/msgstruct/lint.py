@@ -18,10 +18,9 @@ The guideline checks catch method smells the matrix cannot express:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
-from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .core import (
     Aggregation,
@@ -36,6 +35,9 @@ from .core import (
     walk,
 )
 from .diagnostics import Diagnostic, Severity
+
+if TYPE_CHECKING:
+    from pathlib import Path
 
 __all__ = [
     "Phase",
@@ -193,6 +195,9 @@ class LintConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "LintConfig":
+        import json
+        from pathlib import Path
+
         return cls.from_json(json.loads(Path(path).read_text(encoding="utf-8")))
 
 

@@ -117,6 +117,13 @@ def test_check_unknown_phase_exits_2(run_cli, corpus_dir):
     assert result.returncode == 2
 
 
+def test_check_offers_exactly_the_lint_phases():
+    from msgstruct import cli
+    from msgstruct.lint import Phase
+
+    assert cli._PHASES == [p.value for p in Phase]
+
+
 def test_check_config_override(run_cli, corpus_dir):
     (corpus_dir / "labelled.ms").write_text('A=<a (label="Qty")>\n', encoding="utf-8")
     (corpus_dir / "strict.json").write_text(
@@ -247,6 +254,25 @@ def test_derive_refuses_lint_errors_without_force(run_cli, corpus_dir):
     assert json.loads(forced.stdout)["classes"]
 
 
+def test_derive_conflicting_domains_exit_1_with_d003(run_cli, corpus_dir):
+    (corpus_dir / "as_number.ms").write_text(
+        'ORDER=<Number (op=i; domain=number; example="1")>\n', encoding="utf-8"
+    )
+    (corpus_dir / "as_text.ms").write_text(
+        'ORDER=<Number (op=i; domain=text; example="x")>\n', encoding="utf-8"
+    )
+    (corpus_dir / "conflict.json").write_text(
+        '[{"id": "EV1", "name": "a", "order": 1, "file": "as_number.ms"},\n'
+        ' {"id": "EV2", "name": "b", "order": 2, "file": "as_text.ms"}]\n',
+        encoding="utf-8",
+    )
+    result = run_cli("derive", "--events", "conflict.json", cwd=corpus_dir)
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert "conflict.json: error: D003: " in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 def test_derive_parse_failure_in_event_file_exits_1(run_cli, corpus_dir):
     (corpus_dir / "badparse.json").write_text(
         '[{"id": "E", "name": "x", "order": 0, "file": "vehicle_a.ms"}]\n',
@@ -305,3 +331,80 @@ def test_artifacts_go_to_stdout_only(run_cli, corpus_dir, command):
     result = run_cli(command, "order.ms", cwd=corpus_dir)
     assert result.returncode == 0
     assert result.stdout and result.stderr == ""
+
+
+def _run_python(code: str, cwd) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter, which has imported nothing of
+    msgstruct yet (this test process holds every module)."""
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        cwd=cwd,
+        env=cli_env(),
+        timeout=60,
+    )
+
+
+_LOADED_AFTER = """
+import sys
+{statement}
+print(" ".join(m for m in sys.modules if m.startswith("msgstruct.") or m == "json"))
+"""
+
+
+_UNUSED_BY_PARSING = {"msgstruct.derive", "msgstruct.fragment", "json"}
+
+
+@pytest.mark.parametrize(
+    "argv, not_loaded",
+    [
+        (["parse", "order.ms"], _UNUSED_BY_PARSING | {"msgstruct.lint"}),
+        (["canon", "order.ms"], _UNUSED_BY_PARSING | {"msgstruct.lint"}),
+        (["equiv", "order.ms", "order.ms"], _UNUSED_BY_PARSING | {"msgstruct.lint"}),
+        (["check", "--phase", "analysis", "order.ms"], _UNUSED_BY_PARSING),
+    ],
+    ids=["parse", "canon", "equiv", "check"],
+)
+def test_a_command_loads_only_the_modules_it_runs(corpus_dir, argv, not_loaded):
+    statement = f"from msgstruct import cli; cli.main({argv!r})"
+    result = _run_python(_LOADED_AFTER.format(statement=statement), corpus_dir)
+    assert result.returncode == 0, result.stderr
+    loaded = set(result.stdout.splitlines()[-1].split())
+    assert "msgstruct.parser" in loaded
+    assert not loaded & not_loaded
+
+
+def test_importing_the_package_loads_no_submodule(corpus_dir):
+    result = _run_python(_LOADED_AFTER.format(statement="import msgstruct"), corpus_dir)
+    assert result.returncode == 0, result.stderr
+    assert not {m for m in result.stdout.split() if m.startswith("msgstruct.")}
+
+
+_PUBLIC_API = """
+import sys
+import msgstruct.lint  # the submodule named like the public function `lint`
+import msgstruct
+
+star = {}
+exec("from msgstruct import *", star)
+assert set(star) - {"__builtins__"} == set(msgstruct.__all__)
+for name in msgstruct.__all__:
+    value = getattr(msgstruct, name)
+    home = sys.modules[value.__module__]
+    assert home.__name__.startswith("msgstruct."), (name, home)
+    assert getattr(home, name) is value, name
+    assert star[name] is value, name
+    assert name in dir(msgstruct), name
+try:
+    msgstruct.no_such_name
+except AttributeError:
+    pass
+else:
+    raise AssertionError("msgstruct.no_such_name did not raise AttributeError")
+"""
+
+
+def test_every_public_name_is_the_object_its_submodule_defines(corpus_dir):
+    result = _run_python(_PUBLIC_API, corpus_dir)
+    assert result.returncode == 0, result.stderr
