@@ -12,7 +12,7 @@ Equality on nodes is structural and ignores source spans.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterator, Union
 
 from .diagnostics import SourceSpan
@@ -244,51 +244,79 @@ EMPTY_PROPERTIES = FieldProperties()
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Field:
+class _Node:
+    """Structural equality for the tree's nodes: equal class and equal flat
+    keys, read off ``walk`` without recursion. A key has one entry per node
+    (kind, name, and a field's properties or a complex node's child counts)
+    and leaves spans out."""
+
+    __slots__ = ()
+
+    def _key(self) -> tuple:
+        key: list = [self.name] if isinstance(self, MessageStructure) else []
+        for node in walk(self):
+            if isinstance(node, Field):
+                key.append((Field, node.name, node.properties))
+            elif isinstance(node, Specialisation):
+                key.append((Specialisation, node.name, tuple(map(len, node.variants))))
+            else:
+                key.append((type(node), node.name, len(node.children)))
+        return tuple(key)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+
+@dataclass(frozen=True, eq=False)
+class Field(_Node):
     """Leaf element: a basic informational unit of the message."""
 
     name: str
     properties: FieldProperties = EMPTY_PROPERTIES
-    span: SourceSpan | None = field(default=None, compare=False)
+    span: SourceSpan | None = None
 
     def __post_init__(self) -> None:
         if not is_identifier(self.name):
             raise ValueError(f"invalid field name {self.name!r}")
 
 
-@dataclass(frozen=True)
-class Aggregation:
+@dataclass(frozen=True, eq=False)
+class Aggregation(_Node):
     """Ordered grouping ``< a + b + ... >``; the parts remain one whole."""
 
     name: str | None
     children: tuple["Substructure", ...]
-    span: SourceSpan | None = field(default=None, compare=False)
+    span: SourceSpan | None = None
 
     def __post_init__(self) -> None:
         _check_complex(self.name, self.children)
 
 
-@dataclass(frozen=True)
-class Iteration:
+@dataclass(frozen=True, eq=False)
+class Iteration(_Node):
     """Repetition ``{ ... }``: a set of the contained substructure list."""
 
     name: str | None
     children: tuple["Substructure", ...]
-    span: SourceSpan | None = field(default=None, compare=False)
+    span: SourceSpan | None = None
 
     def __post_init__(self) -> None:
         _check_complex(self.name, self.children)
 
 
-@dataclass(frozen=True)
-class Specialisation:
+@dataclass(frozen=True, eq=False)
+class Specialisation(_Node):
     """Structural alternatives ``[ a | b ]``; a single variant expresses
     optionality of its content."""
 
     name: str | None
     variants: tuple[tuple["Substructure", ...], ...]
-    span: SourceSpan | None = field(default=None, compare=False)
+    span: SourceSpan | None = None
 
     def __post_init__(self) -> None:
         if self.name is not None and not is_identifier(self.name):
@@ -311,15 +339,15 @@ Complex = Union[Aggregation, Iteration, Specialisation]
 Substructure = Union[Field, Aggregation, Iteration, Specialisation]
 
 
-@dataclass(frozen=True)
-class MessageStructure:
+@dataclass(frozen=True, eq=False)
+class MessageStructure(_Node):
     """Named root of the tree. The initial substructure is an aggregation or
     an iteration (a specialisation root is rejected by the parser and, for
     programmatically built trees, reported by the guideline checks)."""
 
     name: str
     root: Complex
-    span: SourceSpan | None = field(default=None, compare=False)
+    span: SourceSpan | None = None
 
     def __post_init__(self) -> None:
         if not is_identifier(self.name):
@@ -337,7 +365,9 @@ def walk(node: MessageStructure | Substructure) -> Iterator[Substructure]:
     A structure yields its root first; a specialisation's variants come in
     order, and the children of each variant in order. The traversal keeps
     an explicit stack, so it is linear in the number of nodes at any depth
-    and never meets the interpreter's recursion limit.
+    and never meets the interpreter's recursion limit. So do node ``==``
+    and ``hash``, which compare keys read off this walk, and every stage
+    built on ``_traverse``; only ``repr`` still recurses.
     """
     stack = [node.root if isinstance(node, MessageStructure) else node]
     while stack:
@@ -356,6 +386,54 @@ def iter_fields(node: MessageStructure | Substructure) -> Iterator[Field]:
 
 def field_names(node: MessageStructure | Substructure) -> list[str]:
     return [f.name for f in iter_fields(node)]
+
+
+_LEAVE = object()
+
+
+def _traverse(node: Substructure) -> Iterator[tuple[bool, Substructure | tuple]]:
+    """Depth-first over the items under ``node``, with an explicit stack.
+    An item (a substructure, or a specialisation's variant, which is a tuple
+    of substructures) is yielded as ``(True, item)`` on entry and, unless it
+    is a field, as ``(False, item)`` after its parts. So an item entered
+    right after another's entry is its first part; any other follows a
+    sibling."""
+    # Items left to enter, and the leave mark with the item it closes.
+    stack: list = [node]
+    while stack:
+        item = stack.pop()
+        if item is _LEAVE:
+            yield False, stack.pop()
+            continue
+        yield True, item
+        if isinstance(item, Field):
+            continue
+        if isinstance(item, tuple):
+            parts = item
+        elif isinstance(item, Specialisation):
+            parts = item.variants
+        else:
+            parts = item.children
+        stack += (item, _LEAVE)
+        stack.extend(reversed(parts))
+
+
+def _fold(node: Substructure, build):
+    """Post-order fold over ``_traverse``: ``build(item, results)`` gets each
+    item with the list of its parts' results and returns the item's own."""
+    results: list = []
+    starts: list[int] = []
+    for entering, item in _traverse(node):
+        if isinstance(item, Field):
+            results.append(build(item, []))
+        elif entering:
+            starts.append(len(results))
+        else:
+            start = starts.pop()
+            value = build(item, results[start:])
+            del results[start:]
+            results.append(value)
+    return results[0]
 
 
 # ---------------------------------------------------------------------------
@@ -377,37 +455,21 @@ def canonicalize(ms: MessageStructure, *, keep_names: bool = False) -> MessageSt
     ``keep_names=True`` performs the same structural rewrite but retains
     names; the class-diagram derivation and the fragmenter rely on it.
     """
-    return replace(ms, root=_canon(ms.root, keep_names))
 
+    def build(item: Substructure | tuple, parts: list) -> Substructure | tuple:
+        if isinstance(item, Field):
+            return item
+        if isinstance(item, tuple):
+            return tuple(parts)
+        name = item.name if keep_names else None
+        if isinstance(item, Aggregation):
+            return Aggregation(name, tuple(parts), span=item.span)
+        if isinstance(item, Iteration):
+            return Iteration(name, (_wrap(tuple(parts), item.span),), span=item.span)
+        variants = tuple((_wrap(variant, item.span),) for variant in parts)
+        return Specialisation(name, variants, span=item.span)
 
-def _canon(node: Substructure, keep_names: bool) -> Substructure:
-    match node:
-        case Field():
-            return node
-        case Aggregation(name, children):
-            return Aggregation(
-                name if keep_names else None,
-                tuple(_canon(c, keep_names) for c in children),
-                span=node.span,
-            )
-        case Iteration(name, children):
-            inner = tuple(_canon(c, keep_names) for c in children)
-            return Iteration(
-                name if keep_names else None,
-                (_wrap(inner, node.span),),
-                span=node.span,
-            )
-        case Specialisation(name, variants):
-            wrapped = tuple(
-                _wrap(tuple(_canon(c, keep_names) for c in variant), node.span)
-                for variant in variants
-            )
-            return Specialisation(
-                name if keep_names else None,
-                tuple((v,) for v in wrapped),
-                span=node.span,
-            )
-    raise TypeError(f"not a substructure: {node!r}")
+    return replace(ms, root=_fold(ms.root, build))
 
 
 def _wrap(items: tuple[Substructure, ...], span: SourceSpan | None) -> Substructure:

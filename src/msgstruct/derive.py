@@ -37,7 +37,6 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 from .core import (
-    Aggregation,
     Domain,
     Field,
     Formula,
@@ -45,7 +44,7 @@ from .core import (
     MessageStructure,
     ReferenceDomain,
     Specialisation,
-    Substructure,
+    _traverse,
     canonicalize,
     domain_to_text,
     formula_to_text,
@@ -259,84 +258,59 @@ class _ViewBuilder:
 
 def derive_view(event: CommunicativeEvent) -> ClassDiagram:
     """Map one event's message structure to a class-diagram view."""
+    # The tree is canonical here: an iteration's only child and every
+    # variant's only member are aggregations.
     ms = canonicalize(event.structure, keep_names=True)
     builder = _ViewBuilder()
-    root_cls = builder.add_class(class_name(ms.name), "defined")
-    if isinstance(ms.root, Iteration):
-        # A repeating root still owns the whole message: the iteration
-        # becomes an item class composed into the root class (R4).
-        _derive_into(builder, root_cls, (ms.root,), optional=False)
-    else:
-        _derive_into(builder, root_cls, ms.root.children, optional=False)
-    return builder.build()
-
-
-# The tree is canonical here: an iteration's only child and every variant's
-# only member are aggregations.
-def _derive_into(
-    builder: _ViewBuilder,
-    cls: str,
-    members: tuple[Substructure, ...],
-    optional: bool,
-) -> None:
-    for child in members:
-        if isinstance(child, Field):
-            _derive_field(builder, cls, child, optional)
-        elif isinstance(child, Aggregation):
-            # Anonymous inline grouping: contents belong to the same class.
-            _derive_into(builder, cls, child.children, optional)
-        elif isinstance(child, Iteration):
-            inner = child.children[0]
-            raw = inner.name or child.name or f"{cls}_item"
+    # The class the next fields go to, whether they are optional, and the
+    # specialisation whose variants are entered next, if they become
+    # subclasses; ``saved`` holds them for each open item.
+    cls, optional, spec = builder.add_class(class_name(ms.name), "defined"), False, None
+    saved: list[tuple[str, bool, Specialisation | None]] = []
+    for entering, item in _traverse(ms.root):
+        if isinstance(item, Field):
+            domain, acquisition = item.properties.domain, item.properties.acquisition
+            if isinstance(domain, ReferenceDomain):
+                target = builder.add_class(class_name(domain.target), "referenced")
+                builder.associate(Association(cls, target, "reference", "one"))
+            elif acquisition is None:
+                builder.add_attribute(cls, Attribute(item.name, domain, optional=optional), item.span)
+            else:
+                attr = Attribute(item.name, domain, acquisition.op, acquisition.formula, optional)
+                builder.add_attribute(cls, attr, item.span)
+            continue
+        if not entering:
+            cls, optional, spec = saved.pop()
+            continue
+        saved.append((cls, optional, spec))
+        if isinstance(item, Iteration):
+            inner = item.children[0]
+            raw = inner.name or item.name or f"{cls}_item"
             item_cls = builder.add_class(class_name(raw), "defined")
             builder.associate(Association(cls, item_cls, "composition", "many"))
-            _derive_into(builder, item_cls, inner.children, optional=False)
-        elif isinstance(child, Specialisation):
-            _derive_specialisation(builder, cls, child, optional)
-
-
-def _derive_field(builder: _ViewBuilder, cls: str, f: Field, optional: bool) -> None:
-    domain = f.properties.domain
-    if isinstance(domain, ReferenceDomain):
-        target = builder.add_class(class_name(domain.target), "referenced")
-        builder.associate(Association(cls, target, "reference", "one"))
-        return
-    acquisition = f.properties.acquisition
-    builder.add_attribute(
-        cls,
-        Attribute(
-            name=f.name,
-            domain=domain,
-            acquisition=acquisition.op if acquisition else None,
-            formula=acquisition.formula if acquisition else None,
-            optional=optional,
-        ),
-        f.span,
-    )
-
-
-def _derive_specialisation(
-    builder: _ViewBuilder, cls: str, spec: Specialisation, optional: bool
-) -> None:
-    if len(spec.variants) == 1:
-        # One variant means the content is optional, not an alternative.
-        _derive_into(builder, cls, spec.variants[0][0].children, optional=True)
-        return
-    for variant in spec.variants:
-        node = variant[0]
-        if node.name is None:
-            raise DerivationError(
-                Diagnostic(
-                    Severity.ERROR,
-                    "D001",
-                    f"variant of a specialisation under class {cls!r} has no name "
-                    "to derive a subclass from",
-                    node.span or spec.span,
+            cls, optional = item_cls, False
+        elif isinstance(item, Specialisation):
+            # One variant means the content is optional, not an alternative.
+            if len(item.variants) == 1:
+                optional = True
+            else:
+                spec = item
+        elif isinstance(item, tuple) and spec is not None:
+            node = item[0]
+            if node.name is None:
+                raise DerivationError(
+                    Diagnostic(
+                        Severity.ERROR,
+                        "D001",
+                        f"variant of a specialisation under class {cls!r} has no name "
+                        "to derive a subclass from",
+                        node.span or spec.span,
+                    )
                 )
-            )
-        sub = builder.add_class(class_name(node.name), "subclass", parent=cls)
-        builder.associate(Association(cls, sub, "generalisation", None))
-        _derive_into(builder, sub, node.children, optional=optional)
+            sub = builder.add_class(class_name(node.name), "subclass", parent=cls)
+            builder.associate(Association(cls, sub, "generalisation", None))
+            cls, spec = sub, None
+    return builder.build()
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +465,10 @@ def load_events_manifest(path: str | Path) -> list[CommunicativeEvent]:
     from pathlib import Path
 
     manifest_path = Path(path)
-    raw = json.loads(manifest_path.read_text(encoding="utf-8"))
+    try:
+        raw = json.loads(manifest_path.read_text(encoding="utf-8"))
+    except RecursionError:  # nested deeper than the decoder follows
+        raise ValueError("events manifest is nested too deep") from None
     if not isinstance(raw, list):
         raise ValueError("events manifest must be a JSON array")
     events = []
@@ -501,7 +478,7 @@ def load_events_manifest(path: str | Path) -> list[CommunicativeEvent]:
             event_id = str(entry["id"])
             name = str(entry["name"])
             order = int(entry["order"])
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, OverflowError) as exc:
             raise ValueError(f"bad manifest entry {entry!r}: {exc}") from None
         try:
             structure = parse(ms_path.read_text(encoding="utf-8-sig"))

@@ -17,12 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (
-    Aggregation,
     Field,
     Iteration,
     MessageStructure,
     Specialisation,
-    Substructure,
+    _traverse,
     canonicalize,
 )
 
@@ -77,10 +76,10 @@ class AbstractInterfaceStructure:
 
 
 class _FragmentBuilder:
-    def __init__(self, id_: str, depth: int, parent_key: str | None):
+    def __init__(self, id_: str, depth: int, parent: _FragmentBuilder | None):
         self.id = id_
         self.depth = depth
-        self.parent_key = parent_key
+        self.parent = parent
         self.fields: list[Field] = []
         self.discriminators: list[str] = []
         self.used_labels: set[str] = set()
@@ -90,7 +89,7 @@ class _FragmentBuilder:
             self.id,
             self.depth,
             tuple(self.fields),
-            self.parent_key,
+            self.parent.id if self.parent else None,
             tuple(self.discriminators),
         )
 
@@ -104,42 +103,26 @@ def fragment_1nf(ms: MessageStructure) -> list[Fragment]:
     first.
     """
     normal = canonicalize(ms, keep_names=True)
-    fragments: list[_FragmentBuilder] = []
-
-    def new_fragment(id_: str, depth: int, parent: str | None) -> _FragmentBuilder:
-        builder = _FragmentBuilder(id_, depth, parent)
-        fragments.append(builder)
-        return builder
-
-    def collect(builder: _FragmentBuilder, items: tuple[Substructure, ...]) -> None:
-        for child in items:
-            if isinstance(child, Field):
-                builder.fields.append(child)
-            elif isinstance(child, Aggregation):
-                collect(builder, child.children)
-            elif isinstance(child, Iteration):
-                # Canonical form: an iteration's only child and every
-                # variant's only member are aggregations.
-                inner = child.children[0]
-                label = _iteration_label(child, inner, builder)
-                sub = new_fragment(f"{builder.id}/{label}", builder.depth + 1, builder.id)
-                collect(sub, inner.children)
-            elif isinstance(child, Specialisation):
-                builder.discriminators.append(_discriminator_note(child))
-                for variant in child.variants:
-                    collect(builder, variant[0].children)
-
-    root = new_fragment(ms.name, 0, None)
-    root_node = normal.root
-    if isinstance(root_node, Iteration):
-        collect(root, (root_node,))
-    else:
-        collect(root, root_node.children)
+    current = _FragmentBuilder(ms.name, 0, None)
+    fragments = [current]
+    for entering, item in _traverse(normal.root):
+        if isinstance(item, Field):
+            current.fields.append(item)
+        elif isinstance(item, Iteration):
+            if entering:
+                label = _iteration_label(item, current)
+                current = _FragmentBuilder(f"{current.id}/{label}", current.depth + 1, current)
+                fragments.append(current)
+            else:
+                current = current.parent
+        elif isinstance(item, Specialisation) and entering:
+            current.discriminators.append(_discriminator_note(item))
     return [b.freeze() for b in fragments]
 
 
-def _iteration_label(node: Iteration, inner: Aggregation, parent: _FragmentBuilder) -> str:
-    base = node.name or inner.name
+def _iteration_label(node: Iteration, parent: _FragmentBuilder) -> str:
+    # Canonical form: an iteration's only child is an aggregation.
+    base = node.name or node.children[0].name
     if base is None:
         base = f"it{len(parent.used_labels) + 1}"
     label = base

@@ -187,10 +187,13 @@ class LintConfig:
         if not isinstance(words, (list, tuple)) or not all(isinstance(w, str) for w in words):
             raise ValueError("'g1_wordlist' must be a list of strings")
         wordlist = tuple(w.lower() for w in words)
+        report_missing = obj.get("report_missing", False)
+        if not isinstance(report_missing, bool):
+            raise ValueError("'report_missing' must be true or false")
         return cls(
             severity_map=severity_map,
             g1_wordlist=wordlist,
-            report_missing=bool(obj.get("report_missing", False)),
+            report_missing=report_missing,
         )
 
     @classmethod
@@ -198,7 +201,11 @@ class LintConfig:
         import json
         from pathlib import Path
 
-        return cls.from_json(json.loads(Path(path).read_text(encoding="utf-8")))
+        try:
+            obj = json.loads(Path(path).read_text(encoding="utf-8"))
+        except RecursionError:  # nested deeper than the decoder follows
+            raise ValueError("lint configuration is nested too deep") from None
+        return cls.from_json(obj)
 
 
 DEFAULT_CONFIG = LintConfig()

@@ -18,7 +18,7 @@ Errors are raised as :class:`ParseError` carrying diagnostics:
     P002  ``name =`` not followed by ``<``, ``{``, or ``[``
     P003  empty substructure list
     P004  specialisation at initial-substructure position
-    P005  malformed property annotation
+    P005  malformed property annotation, or a formula nested past 64 levels
     P006  unknown acquisition-operation letter
     P007  unexpected character or token
     P008  nesting too deep: more than ``MAX_NESTING`` (300) levels of brackets
@@ -53,6 +53,8 @@ from .core import (
     Specialisation,
     Substructure,
     Text,
+    _fold,
+    _traverse,
     is_identifier,
 )
 from .diagnostics import Diagnostic, Severity, SourceSpan
@@ -63,6 +65,11 @@ __all__ = ["parse", "parse_formula", "to_text", "structure_to_json_obj", "ParseE
 # recurses twice per level and would overflow the interpreter's default
 # 1000-frame stack at about 495 levels; the limit leaves room for callers.
 MAX_NESTING = 300
+
+# The deepest nesting of a formula (see ``_FormulaParser``). A formula at
+# this depth, inside a structure ``MAX_NESTING`` deep, still parses, prints,
+# compares and hashes within the interpreter's default recursion limit.
+_MAX_FORMULA_DEPTH = 64
 
 
 class ParseError(Exception):
@@ -99,6 +106,7 @@ _UNESCAPE_RE = re.compile(r"\\([\s\S]?)")
 _OPENERS = "<{["
 _CLOSERS = ">}]"
 _MATCHING = {"<": ">", "{": "}", "[": "]"}
+_BRACKETS = {Aggregation: "<>", Iteration: "{}", Specialisation: "[]"}
 
 _TAB_HEADER = ("FIELD", "OP", "DOMAIN", "EXAMPLE VALUE")
 
@@ -397,7 +405,12 @@ def _domain_from_text(value: str) -> Domain:
 class _FormulaParser:
     """Tiny expression grammar: ``+ -`` over ``* /`` over atoms, all
     left-associative; atoms are ``:Field`` references, numbers, quoted
-    strings, function calls, and parenthesised groups."""
+    strings, function calls, and parenthesised groups.
+
+    Each method returns a node with its nesting level: 0 for an atom, and
+    one over the deepest operand for an operator, a call or a group. Past
+    ``_MAX_FORMULA_DEPTH`` the formula is rejected; ``open`` counts the open
+    groups, so the reader's own recursion is bounded too."""
 
     _NUMBER_RE = re.compile(r"\d+(?:\.\d+)?")
     _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -405,9 +418,10 @@ class _FormulaParser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.open = 0
 
     def parse(self) -> Formula:
-        node = self._expr()
+        node, _ = self._expr()
         self._skip()
         if self.pos < len(self.text):
             raise ValueError(f"unexpected {self.text[self.pos]!r} at offset {self.pos}")
@@ -420,55 +434,64 @@ class _FormulaParser:
     def _peek(self) -> str:
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
-    def _expr(self) -> Formula:
-        node = self._term()
+    @staticmethod
+    def _level(depth: int) -> int:
+        if depth > _MAX_FORMULA_DEPTH:
+            raise ValueError(f"nested too deep: more than {_MAX_FORMULA_DEPTH} levels")
+        return depth
+
+    # _expr and _term loop in place, so a group costs three frames, not five.
+    def _expr(self) -> tuple[Formula, int]:
+        node, depth = self._term()
         while True:
             self._skip()
             op = self._peek()
-            if op in ("+", "-"):
-                self.pos += 1
-                node = BinaryOp(op, node, self._term())
-            else:
-                return node
+            if op not in ("+", "-"):
+                return node, depth
+            self.pos += 1
+            right, right_depth = self._term()
+            node, depth = BinaryOp(op, node, right), self._level(max(depth, right_depth) + 1)
 
-    def _term(self) -> Formula:
-        node = self._atom()
+    def _term(self) -> tuple[Formula, int]:
+        node, depth = self._atom()
         while True:
             self._skip()
             op = self._peek()
-            if op in ("*", "/"):
-                self.pos += 1
-                node = BinaryOp(op, node, self._atom())
-            else:
-                return node
+            if op not in ("*", "/"):
+                return node, depth
+            self.pos += 1
+            right, right_depth = self._atom()
+            node, depth = BinaryOp(op, node, right), self._level(max(depth, right_depth) + 1)
 
-    def _atom(self) -> Formula:
+    def _atom(self) -> tuple[Formula, int]:
         self._skip()
         ch = self._peek()
         if ch == "":
             raise ValueError("formula ends where a value was expected")
         if ch == "(":
             self.pos += 1
-            node = self._expr()
+            self.open = self._level(self.open + 1)
+            node, depth = self._expr()
             self._skip()
             if self._peek() != ")":
                 raise ValueError("missing ')'")
             self.pos += 1
-            return node
+            self.open -= 1
+            return node, self._level(depth + 1)
         if ch == ":":
             self.pos += 1
             m = _NAME_RE.match(self.text, self.pos)
             if m is None:
                 raise ValueError("':' must be followed by a field name")
             self.pos = m.end()
-            return FieldRef(_WS_RE.sub(" ", m.group(0)))
+            return FieldRef(_WS_RE.sub(" ", m.group(0))), 0
         if ch in "'\"":
-            return Text(self._string(ch))
+            return Text(self._string(ch)), 0
         m = self._NUMBER_RE.match(self.text, self.pos)
         if m is not None:
             self.pos = m.end()
             raw = m.group(0)
-            return Number(float(raw) if "." in raw else int(raw))
+            return Number(float(raw) if "." in raw else int(raw)), 0
         m = self._IDENT_RE.match(self.text, self.pos)
         if m is not None:
             name = m.group(0)
@@ -477,21 +500,22 @@ class _FormulaParser:
             if self._peek() != "(":
                 raise ValueError(f"function name {name!r} must be followed by '('")
             self.pos += 1
+            self.open = self._level(self.open + 1)
             args: list[Formula] = []
+            depth = 0
             self._skip()
-            if self._peek() == ")":
-                self.pos += 1
-                return Call(name, ())
-            while True:
-                args.append(self._expr())
+            while self._peek() != ")":
+                if args:
+                    if self._peek() != ",":
+                        raise ValueError("expected ',' or ')' in argument list")
+                    self.pos += 1
+                arg, arg_depth = self._expr()
+                args.append(arg)
+                depth = max(depth, arg_depth)
                 self._skip()
-                if self._peek() == ",":
-                    self.pos += 1
-                    continue
-                if self._peek() == ")":
-                    self.pos += 1
-                    return Call(name, tuple(args))
-                raise ValueError("expected ',' or ')' in argument list")
+            self.pos += 1
+            self.open -= 1
+            return Call(name, tuple(args)), self._level(depth + 1)
         raise ValueError(f"unexpected {ch!r} in formula")
 
     def _string(self, quote: str) -> str:
@@ -534,61 +558,44 @@ def to_text(ms: MessageStructure, style: str = "compact") -> str:
     raise ValueError(f"unknown style {style!r}")
 
 
-def _annotation_suffix(f: Field) -> str:
-    mapping = f.properties.to_mapping()
-    if not mapping:
-        return ""
-    parts = []
-    for key, value in mapping.items():
-        if key in ("op", "domain", "required", "visible"):
-            parts.append(f"{key}={value}")
-        else:
-            parts.append(f'{key}="{_escape(value)}"')
-    return " (" + "; ".join(parts) + ")"
+def _annotation(mapping: dict[str, str]) -> str:
+    """``(key=value; ...)``, with the values of op, domain, required and
+    visible bare and the others quoted."""
+    return "(" + "; ".join(
+        f"{k}={v}" if k in ("op", "domain", "required", "visible") else f'{k}="{_escape(v)}"'
+        for k, v in mapping.items()
+    ) + ")"
 
 
 def _compact(root: Substructure) -> str:
-    # An explicit stack of nodes still to render and of literal text (the
-    # separators and closing brackets), so any depth renders.
     out: list[str] = []
-    stack: list = [root]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, str):
-            out.append(node)
-            continue
-        if isinstance(node, Field):
-            out.append(node.name + _annotation_suffix(node))
-            continue
-        if isinstance(node, Aggregation):
-            opener, closer, lists = "<", ">", (node.children,)
-        elif isinstance(node, Iteration):
-            opener, closer, lists = "{", "}", (_list_items(node.children),)
-        elif isinstance(node, Specialisation):
-            opener, closer, lists = "[", "]", [_list_items(v) for v in node.variants]
+    elided: set[int] = set()  # the open aggregations written without brackets
+    after_entry = True
+    for entering, item in _traverse(root):
+        if entering and not after_entry:
+            out.append("|" if isinstance(item, tuple) else "+")
+        after_entry = entering and not isinstance(item, Field)
+        if isinstance(item, Field):
+            mapping = item.properties.to_mapping()
+            out.append(f"{item.name} {_annotation(mapping)}" if mapping else item.name)
+        elif isinstance(item, tuple) or id(item) in elided:
+            if not entering:
+                elided.discard(id(item))
+        elif entering:
+            opener = _BRACKETS[type(item)][0]
+            out.append(f"{item.name}={opener}" if item.name else opener)
         else:
-            raise TypeError(f"not a substructure: {node!r}")
-        out.append(f"{node.name}={opener}" if node.name else opener)
-        stack.append(closer)
-        for i, items in enumerate(reversed(lists)):
-            if i:
-                stack.append("|")
-            for j, item in enumerate(reversed(items)):
-                if j:
-                    stack.append("+")
-                stack.append(item)
+            out.append(_BRACKETS[type(item)][1])
+        # The single anonymous aggregation implicit in an iteration body or a
+        # variant is left out, except when its own single child is an
+        # aggregation (eliding would merge two nesting levels on re-parse).
+        if entering and isinstance(item, (Iteration, tuple)):
+            body = item if isinstance(item, tuple) else item.children
+            only = body[0]
+            if len(body) == 1 and isinstance(only, Aggregation) and only.name is None:
+                if not (len(only.children) == 1 and isinstance(only.children[0], Aggregation)):
+                    elided.add(id(only))
     return "".join(out)
-
-
-def _list_items(items: tuple[Substructure, ...]) -> tuple[Substructure, ...]:
-    # The single anonymous aggregation implicit in an iteration body or a
-    # variant can be left out, except when its own single child is an
-    # aggregation (eliding would merge two nesting levels on re-parse).
-    if len(items) == 1 and isinstance(items[0], Aggregation) and items[0].name is None:
-        inner = items[0].children
-        if not (len(inner) == 1 and isinstance(inner[0], Aggregation)):
-            return inner
-    return items
 
 
 # -- tabular style -----------------------------------------------------------
@@ -615,45 +622,28 @@ def _domain_column(domain: Domain) -> str:
 def _tabular(ms: MessageStructure) -> str:
     rows: list[_Row] = [_Row(f"{ms.name} =")]
     pending = ""
-
-    def emit_complex(node: Substructure, suffix: str) -> None:
-        nonlocal pending
-        if node.name:
-            rows.append(_Row(pending + node.name + " ="))
+    after_entry = True
+    for entering, item in _traverse(ms.root):
+        if entering and not after_entry:
+            # A separator ends the row of the sibling before.
+            rows[-1].text += " |" if isinstance(item, tuple) else " +"
+            rows[-1].can_absorb = False
+        after_entry = entering and not isinstance(item, Field)
+        if isinstance(item, Field):
+            rows.append(_Row(pending + item.name, item, absorb=True))
             pending = ""
-        opener = {"Aggregation": "<", "Iteration": "{", "Specialisation": "["}[
-            type(node).__name__
-        ]
-        pending += opener + " "
-        if isinstance(node, Specialisation):
-            for i, variant in enumerate(node.variants):
-                emit_list(variant)
-                if i < len(node.variants) - 1:
-                    rows[-1].text += " |"
-                    rows[-1].can_absorb = False
-        else:
-            emit_list(node.children)
-        closer = _MATCHING[opener]
-        if rows[-1].can_absorb:
-            rows[-1].text += " " + closer
-            rows[-1].can_absorb = False
-        else:
-            rows.append(_Row(closer))
-        if suffix:
-            rows[-1].text += suffix
-            rows[-1].can_absorb = False
-
-    def emit_list(items: tuple[Substructure, ...]) -> None:
-        nonlocal pending
-        for i, item in enumerate(items):
-            suffix = " +" if i < len(items) - 1 else ""
-            if isinstance(item, Field):
-                rows.append(_Row(pending + item.name + suffix, item, absorb=not suffix))
+        elif isinstance(item, tuple):
+            continue
+        elif entering:
+            if item.name:
+                rows.append(_Row(pending + item.name + " ="))
                 pending = ""
-            else:
-                emit_complex(item, suffix)
-
-    emit_complex(ms.root, "")
+            pending += _BRACKETS[type(item)][0] + " "
+        elif rows[-1].can_absorb:
+            rows[-1].text += " " + _BRACKETS[type(item)][1]
+            rows[-1].can_absorb = False
+        else:
+            rows.append(_Row(_BRACKETS[type(item)][1]))
 
     lines = ["\t".join(_TAB_HEADER)]
     for row in rows:
@@ -675,16 +665,7 @@ def _tabular(ms: MessageStructure) -> str:
                 # has to travel in the annotation column instead.
                 example = ""
                 extras = {"example": "", **extras}
-            extra_cell = ""
-            if extras:
-                parts = []
-                for key, value in extras.items():
-                    if key in ("required", "visible"):
-                        parts.append(f"{key}={value}")
-                    else:
-                        parts.append(f'{key}="{_escape(value)}"')
-                extra_cell = "(" + "; ".join(parts) + ")"
-            cells += [op, domain, example, extra_cell]
+            cells += [op, domain, example, _annotation(extras) if extras else ""]
             while cells and cells[-1] == "":
                 cells.pop()
         lines.append("\t".join(cells))
@@ -780,33 +761,15 @@ def _domain_column_to_annotation(value: str) -> str:
 def structure_to_json_obj(ms: MessageStructure) -> dict:
     """Plain-data view of the tree; property values use the annotation
     vocabulary (op/domain/example/...)."""
-    return {"name": ms.name, "root": _node_to_json(ms.root)}
 
+    def build(item: Substructure | tuple, parts: list) -> dict | list:
+        if isinstance(item, Field):
+            return {"kind": "field", "name": item.name, "properties": item.properties.to_mapping()}
+        if isinstance(item, tuple):
+            return parts
+        if isinstance(item, Specialisation):
+            return {"kind": "specialisation", "name": item.name, "variants": parts}
+        kind = "aggregation" if isinstance(item, Aggregation) else "iteration"
+        return {"kind": kind, "name": item.name, "children": parts}
 
-def _node_to_json(node: Substructure) -> dict:
-    match node:
-        case Field():
-            return {
-                "kind": "field",
-                "name": node.name,
-                "properties": node.properties.to_mapping(),
-            }
-        case Aggregation(name, children):
-            return {
-                "kind": "aggregation",
-                "name": name,
-                "children": [_node_to_json(c) for c in children],
-            }
-        case Iteration(name, children):
-            return {
-                "kind": "iteration",
-                "name": name,
-                "children": [_node_to_json(c) for c in children],
-            }
-        case Specialisation(name, variants):
-            return {
-                "kind": "specialisation",
-                "name": name,
-                "variants": [[_node_to_json(c) for c in v] for v in variants],
-            }
-    raise TypeError(f"not a substructure: {node!r}")
+    return {"name": ms.name, "root": _fold(ms.root, build)}

@@ -76,6 +76,54 @@ def test_parse_and_canon_print_300_levels(run_cli, corpus_dir, command, opener, 
     assert result.stdout == text + "\n"
 
 
+@pytest.mark.parametrize(
+    "formula", [":x" + "+:x" * 4999, "(" * 5000 + ":x" + ")" * 5000], ids=["sum", "parentheses"]
+)
+@pytest.mark.parametrize("command", ["parse", "check"])
+def test_a_formula_nested_too_deep_exits_1_with_p005(run_cli, corpus_dir, command, formula):
+    (corpus_dir / "deep.ms").write_text(f'A=<x (op=d; formula="{formula}")>\n', encoding="utf-8")
+    args = ["--phase", "design-memory"] if command == "check" else []
+    result = run_cli(command, *args, "deep.ms", cwd=corpus_dir)
+    assert result.returncode == 1
+    assert "deep.ms:1:21: error: P005: bad formula: nested too deep" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("opener, closer", [("<", ">"), ("{", "}"), ("[", "]")])
+def test_every_command_runs_on_the_deepest_structure(tmp_path, capsys, opener, closer):
+    # In process, below pytest's own frames: the parser's MAX_NESTING levels
+    # of brackets around fields carrying the deepest formulas it accepts.
+    from msgstruct import cli
+    from msgstruct.parser import MAX_NESTING
+
+    depth = MAX_NESTING - 1  # inside the root aggregation
+    fields = 'x (op=d; formula=":x{}") + y (op=d; formula="{}:y{}")'.format(
+        "+:x" * 64, "(" * 64, ")" * 64
+    )
+    (tmp_path / "deep.ms").write_text("M=<" + opener * depth + fields + closer * depth + ">\n", encoding="utf-8")
+    (tmp_path / "events.json").write_text(
+        json.dumps([{"id": "EV1", "name": "deep", "order": 1, "file": "deep.ms"}])
+    )
+    deep, events = str(tmp_path / "deep.ms"), str(tmp_path / "events.json")
+    commands = [
+        ["parse", deep],
+        ["parse", "--json", deep],
+        ["canon", deep],
+        ["equiv", deep, deep],
+        ["fragment", deep],
+        ["fragment", "--json", deep],
+        *(["check", "--phase", phase, deep] for phase in cli._PHASES),
+        ["check", "--json", "--phase", "analysis", deep],
+        ["derive", "--events", events],
+        ["derive", "--format", "plantuml", "--events", events],
+    ]
+    for argv in commands:
+        assert cli.main(argv) in (0, 1), argv
+        out, err = capsys.readouterr()
+        assert "P0" not in err, argv
+    assert cli.main(["equiv", deep, deep]) == 0
+
+
 def test_canon_prints_the_canonical_form(run_cli, corpus_dir):
     result = run_cli("canon", "form1.ms", cwd=corpus_dir)
     assert result.returncode == 0
@@ -142,7 +190,9 @@ def test_check_config_override(run_cli, corpus_dir):
     assert "error: L-LABEL" in result.stderr
 
 
-@pytest.mark.parametrize("config", ["[]", '{"g1_wordlist": 5}', '{"severity": []}'])
+@pytest.mark.parametrize(
+    "config", ["[]", '{"g1_wordlist": 5}', '{"severity": []}', '{"report_missing": "false"}']
+)
 def test_check_config_of_the_wrong_shape_exits_2(run_cli, corpus_dir, config):
     (corpus_dir / "bad.json").write_text(config, encoding="utf-8")
     result = run_cli(

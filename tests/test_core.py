@@ -24,8 +24,10 @@ from msgstruct.core import (
     iter_fields,
     walk,
 )
+from msgstruct.derive import CommunicativeEvent, DerivationError, derive_view
+from msgstruct.fragment import fragment_1nf
 from msgstruct.lint import Phase, guideline_checks, lint
-from msgstruct.parser import parse
+from msgstruct.parser import parse, structure_to_json_obj, to_text
 from properties import prop_canonicalize_idempotent, prop_equivalence_relation
 
 
@@ -270,16 +272,21 @@ _DEEP = 5000  # far past the parser's MAX_NESTING, which only parse enforces
 
 
 @pytest.mark.parametrize(
-    "wrap, fields",
+    "wrap, fields, opener, closer",
     [
-        (lambda node: Aggregation(None, (node,)), ["x"]),
-        (lambda node: Iteration(None, (Field("i"), node)), ["i"] * _DEEP + ["x"]),
-        (lambda node: Specialisation(None, ((node,), (Field("s"),))), ["x"] + ["s"] * _DEEP),
+        (lambda node: Aggregation(None, (node,)), ["x"], "<", ">"),
+        (lambda node: Iteration(None, (Field("i"), node)), ["i"] * _DEEP + ["x"], "{i+", "}"),
+        (
+            lambda node: Specialisation(None, ((node,), (Field("s"),))),
+            ["x"] + ["s"] * _DEEP,
+            "[",
+            "|s]",
+        ),
     ],
     ids=["aggregation", "iteration", "specialisation"],
 )
-def test_traversals_of_trees_built_in_code_ignore_depth(wrap, fields):
-    # Trees are never compared with == or repr here: both still recurse.
+def test_traversals_of_trees_built_in_code_ignore_depth(wrap, fields, opener, closer):
+    # Only repr still recurses, so it is not used here.
     def chain(depth):
         node = Field("x", FieldProperties(label="X"))
         for _ in range(depth):
@@ -297,3 +304,39 @@ def test_traversals_of_trees_built_in_code_ignore_depth(wrap, fields):
         assert guideline_checks(ms, phase) == []
     assert [d.code for d in lint(ms, Phase.ANALYSIS)] == ["L-LABEL"]
     assert lint(ms, Phase.DESIGN_INTERFACE) == []
+
+    same, shorter = chain(_DEEP), chain(_DEEP - 1)
+    assert ms == same and not ms != same and hash(ms) == hash(same)
+    assert ms != shorter and not ms == shorter
+
+    for keep_names in (False, True):
+        canonical = canonicalize(ms, keep_names=keep_names)
+        assert equivalent(canonical, ms)
+        assert canonicalize(canonical, keep_names=keep_names) == canonical
+
+    fragments = fragment_1nf(ms)
+    assert [f.name for fragment in fragments for f in fragment.fields] == fields
+    assert max(fragment.depth for fragment in fragments) == (_DEEP if opener == "{i+" else 0)
+
+    event = CommunicativeEvent("EV1", "deep", 1, ms)
+    if opener == "[":
+        # The variants are anonymous, so there is no subclass to derive.
+        with pytest.raises(DerivationError) as exc:
+            derive_view(event)
+        assert exc.value.diagnostic.code == "D001"
+    else:
+        view = derive_view(event)
+        assert [a.name for c in view.classes for a in c.attributes] == fields
+
+    kinds, stack = [], [structure_to_json_obj(ms)["root"]]
+    while stack:
+        obj = stack.pop()
+        kinds.append(obj["kind"])
+        stack += obj.get("children", []) + [c for v in obj.get("variants", []) for c in v]
+    assert len(kinds) == len(nodes) and kinds.count("field") == len(fields)
+
+    label = 'x (label="X")'
+    assert to_text(ms) == "M=<" + opener * _DEEP + label + closer * _DEEP + ">"
+    tabular = to_text(ms, "tabular")
+    assert sum(map(tabular.count, "<{[")) == sum(map(tabular.count, ">}]")) == _DEEP + 1
+    assert [line.split("\t")[-1] for line in tabular.splitlines() if "label" in line] == ['(label="X")']

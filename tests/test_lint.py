@@ -157,6 +157,8 @@ def test_unknown_config_values_are_rejected():
         LintConfig.from_json({"severity": {"~~": "error"}})
     with pytest.raises(ValueError):
         LintConfig.from_json({"severity": {"--": "fatal"}})
+    with pytest.raises(ValueError):
+        LintConfig.from_json({"report_missing": "false"})
 
 
 # ---------------------------------------------------------------------------

@@ -273,6 +273,33 @@ def test_formula_subtraction_groups_left():
     assert f == BinaryOp("-", BinaryOp("-", FieldRef("a"), FieldRef("b")), FieldRef("c"))
 
 
+# A formula nests at most 64 levels: each operator, call and parenthesised
+# group is one level over its deepest operand (README, "Notation").
+_FORMULA_DEPTH = 64
+
+
+@pytest.mark.parametrize(
+    "deepest, deeper",
+    [
+        (":x" + "+:x" * _FORMULA_DEPTH, ":x" + "+:x" * (_FORMULA_DEPTH + 1)),
+        ("(" * _FORMULA_DEPTH + ":x" + ")" * _FORMULA_DEPTH, "(" * 5000 + ":x" + ")" * 5000),
+        ("f(" * _FORMULA_DEPTH + ")" * _FORMULA_DEPTH, "f(" * (_FORMULA_DEPTH + 1) + ")" * (_FORMULA_DEPTH + 1)),
+        ("2*" * _FORMULA_DEPTH + ":x", "(" + ":x" + "+:x" * _FORMULA_DEPTH + ")"),
+    ],
+    ids=["sum", "parentheses", "calls", "product"],
+)
+def test_formula_nesting_past_the_bound_is_p005(deepest, deeper):
+    parse_formula(deepest)
+    ms = parse(f'A=<x (op=d; formula="{deepest}")>')
+    assert ms.root.children[0].properties.acquisition.formula == parse_formula(deepest)
+    text = f'A=<x (op=d; formula="{deeper}")>'
+    quote = text.index('"')
+    code, message, span = _diagnostic(text)
+    assert code == "P005"
+    assert message == f"bad formula: nested too deep: more than {_FORMULA_DEPTH} levels"
+    assert span == f"1:{quote + 1}-1:{quote + len(deeper) + 2}"
+
+
 # ---------------------------------------------------------------------------
 # Printing
 # ---------------------------------------------------------------------------
@@ -419,6 +446,14 @@ def test_nesting_up_to_the_limit_parses(opener, closer):
     depth = MAX_NESTING - 1  # inside the root aggregation
     ms = parse("A=<" + opener * depth + "x" + closer * depth + ">")
     assert len(list(walk(ms))) == MAX_NESTING + 1
+
+
+@pytest.mark.parametrize("opener, closer", [("<", ">"), ("{", "}"), ("[", "]")])
+def test_parsed_trees_at_the_limit_compare_and_hash(opener, closer):
+    depth = MAX_NESTING - 1
+    text = "A=<" + opener * depth + "x" + closer * depth + ">"
+    assert parse(text) == parse(text) and hash(parse(text)) == hash(parse(text))
+    assert parse(text) != parse(text.replace("x", "y"))
 
 
 @pytest.mark.parametrize("opener, closer", [("<", ">"), ("{", "}"), ("[", "]")])
