@@ -7,6 +7,11 @@ specialisation variants) plus per-field property annotations in parentheses:
 
     Quantity (op=i; domain=number; example="35")
 
+It reads the vertical tabular layout too, a file that starts with a
+``FIELD<TAB>OP<TAB>DOMAIN<TAB>EXAMPLE VALUE`` header row, in place: the
+cells after a row's first tab are values of the field before it, and their
+spans lie inside the cells.
+
 ``to_text`` renders a structure back to text, either as a one-line compact
 form or as the vertical tabular layout with OP / DOMAIN / EXAMPLE columns.
 Both renderings re-parse to an equivalent structure with identical field
@@ -40,6 +45,7 @@ from .core import (
     Call,
     Domain,
     BasicDomain,
+    EMPTY_PROPERTIES,
     EnumeratedDomain,
     Field,
     FieldProperties,
@@ -84,23 +90,45 @@ def _error(code: str, message: str, span: SourceSpan) -> ParseError:
     return ParseError([Diagnostic(Severity.ERROR, code, message, span)])
 
 
-# Whitespace and '#' comments before a token. A comment runs to the end of
-# its line; the lookahead keeps a backtracking match from ending it early.
-_WS = r"[ \t\n]*(?:#[^\n]*(?=\n|\Z)[ \t\n]*)*"
-_NAME = r"[A-Za-z](?:[A-Za-z0-9-]|[ \t]+(?=[A-Za-z0-9]))*"
-_NAME_RE = re.compile(_NAME)
+def _name(gap: str) -> str:
+    """A name: words of letters, digits and hyphens, one run of ``gap`` apart."""
+    return rf"[A-Za-z](?:[A-Za-z0-9-]|{gap}+(?=[A-Za-z0-9]))*"
+
+
+def _scanner(tabular: bool) -> tuple[re.Pattern, re.Pattern]:
+    """The token and annotation-entry patterns of one layout.
+
+    Blank space and '#' comments come before every token. A comment runs to
+    the end of its line; the lookahead keeps a backtracking match from
+    ending it early. In the compact layout a tab is blank space. In the
+    tabular layout a tab ends the structure cell, so no name, blank run,
+    quoted value or bare value crosses it; only the blanks that lead a
+    comment line may hold tabs."""
+    if tabular:
+        blank, gap, stop, escaped = r"(?:(?<![^\n])[ \t]+(?=#)|[ \n])", " ", r"\t", r"[^\t]"
+    else:
+        blank, gap, stop, escaped = r"[ \t\n]", r"[ \t]", "", r"[\s\S]"
+    ws = rf"{blank}*(?:#[^\n]*(?=\n|\Z){blank}*)*"
+    # One token: a name, or a single other character ("" at the end).
+    token = rf"{ws}(?:({_name(gap)})|(.?))"
+    # One entry, ``key = value`` and the ';' or ')' after it. Every part may
+    # be empty, so the match always succeeds; the first part found empty is
+    # the one missing, and where it starts is where the error is.
+    entry = (
+        rf"{ws}(?P<key>[a-z]*){ws}(?P<eq>=?){ws}"
+        rf'(?:(?P<quote>")(?P<text>(?:[^"\\\n{stop}]|\\{escaped}?)*)(?P<close>"?)|(?P<bare>[^;)\n{stop}]*))'
+        rf"{ws}(?P<sep>[;)]?)"
+    )
+    return re.compile(token), re.compile(entry)
+
+
+_SCANNERS = (_scanner(tabular=False), _scanner(tabular=True))
 _WS_RE = re.compile(r"[ \t\n]+")
-# One token of the structure grammar: a name, or a single other character
-# ("" at the end of input).
-_TOKEN_RE = re.compile(rf"{_WS}(?:({_NAME})|(.?))")
-# One annotation entry, ``key = value`` and the ';' or ')' after it. Every
-# part may be empty, so the match always succeeds; the first part found
-# empty is the one missing, and where it starts is where the error is.
-_ENTRY_RE = re.compile(
-    rf"{_WS}(?P<key>[a-z]*){_WS}(?P<eq>=?){_WS}"
-    r'(?:(?P<quote>")(?P<text>(?:[^"\\\n]|\\[\s\S]?)*)(?P<close>"?)|(?P<bare>[^;)\n]*))'
-    rf"{_WS}(?P<sep>[;)]?)"
-)
+# What may stand between a tabular field's name and the tab that ends its
+# structure cell: blanks, separators and closers.
+_OWNER_RE = re.compile(r"[ +|>}\]]*\t")
+# An EXAMPLE VALUE cell: any text, with '"' and '\\' escaped.
+_EXAMPLE_RE = re.compile(r'(?:[^"\\]|\\.)*')
 _UNESCAPE_RE = re.compile(r"\\([\s\S]?)")
 
 _OPENERS = "<{["
@@ -125,7 +153,6 @@ def _unescape(m: re.Match) -> str:
 def parse(text: str) -> MessageStructure:
     """Parse one message structure from text (compact or tabular layout)."""
     text = text.lstrip("﻿").replace("\r\n", "\n").replace("\r", "\n")
-    text = _detabulate(text)
     return _Parser(text).parse_structure()
 
 
@@ -145,20 +172,41 @@ class _Parser:
     ``name`` is the name at the current token (None if it is not a name),
     ``ch`` its first character ("" at the end of input), and ``start`` and
     ``end`` its offsets. Line and column numbers are looked up only when a
-    node or a diagnostic needs a span."""
+    node or a diagnostic needs a span.
+
+    The tabular layout is read in place: reading starts after the header
+    row, a field reads the cells of its row (``_read_cells``), and ``cells``
+    is the tab before the cells last read, which the token stream skips."""
 
     def __init__(self, text: str):
         self.text = text
-        self.line_starts = [0, *accumulate(len(line) + 1 for line in text.split("\n"))]
+        lines = text.split("\n")
+        self.line_starts = [0, *accumulate(len(line) + 1 for line in lines)]
+        # The header row is the first line that is not blank or a comment,
+        # when its first tab-separated cell is FIELD.
+        row = next((i for i, ln in enumerate(lines) if ln.strip() and not ln.lstrip().startswith("#")), 0)
+        head = lines[row].split("\t")
+        self.tabular = len(head) > 1 and head[0].strip() == _TAB_HEADER[0]
+        self.token_re, self.entry_re = _SCANNERS[self.tabular]
         self.depth = 0
-        self.end = 0
+        self.cells = -1
+        self.end = self.line_starts[row + 1] if self.tabular else 0
         self._next()
 
     def _next(self) -> None:
-        m = _TOKEN_RE.match(self.text, self.end)
+        m = self.token_re.match(self.text, self.end)
+        while m[2] == "\t":  # the end of a tabular row's structure cell
+            at = m.start(2)
+            cells = self._cells(at) if at != self.cells else None
+            if cells:
+                self._fail("P005", "property cells must follow a field name", cells[0][2], cells[-1][3])
+            m = self.token_re.match(self.text, self._line_end(at))
         self.name, ch = m.groups()
         self.ch = ch if self.name is None else self.name[0]
         self.start, self.end = m.start(m.lastindex), m.end()
+
+    def _line_end(self, offset: int) -> int:
+        return self.line_starts[bisect_right(self.line_starts, offset)] - 1
 
     def _loc(self, offset: int) -> tuple[int, int]:
         line = bisect_right(self.line_starts, offset)
@@ -230,28 +278,29 @@ class _Parser:
     def _parse_element(self) -> Substructure:
         name, start = None, self.start
         if self.ch not in _OPENERS:
-            name, start, end = self._read_name("a substructure")
-            if self.ch == "(":
-                properties, end = self._parse_annotation()
-                if self.ch == "=":
-                    self._fail(
-                        "P007",
-                        f"annotated name {name!r} cannot introduce a complex substructure",
-                        self.start,
-                    )
-                return Field(name, properties, span=self._span(start, end))
+            # A tabular field owns its row's property cells when only blanks,
+            # separators and closers stand between its name and the tab. It
+            # reads them before the scan moves on to the next row.
+            owner = self.tabular and self.name is not None and _OWNER_RE.match(self.text, self.end)
+            properties, end = None, self.end
+            if owner:
+                self.cells = owner.end() - 1
+                properties, end = self._read_cells(self.cells, end)
+            name, start, _ = self._read_name("a substructure")
+            if properties is None and self.ch == "(":
+                entries: dict[str, tuple[str, int, int]] = {}
+                end = self.end = self._read_entries(self.start, entries, len(self.text))
+                self._next()
+                properties = self._build_properties(entries)
+            if properties is not None and self.ch == "=":
+                self._fail("P007", f"annotated name {name!r} cannot introduce a complex substructure", self.start)
             if self.ch != "=":
-                return Field(name, span=self._span(start, end))
+                return Field(name, properties or EMPTY_PROPERTIES, span=self._span(start, end))
             eq = self.start
             self._next()
             if not self.ch or self.ch not in _OPENERS:
-                self._fail(
-                    "P002",
-                    f"{name!r} = must be followed by '<', '{{', or '[' "
-                    "(a bare name is always a field)",
-                    start,
-                    eq + 1,
-                )
+                message = f"{name!r} = must be followed by '<', '{{', or '[' (a bare name is always a field)"
+                self._fail("P002", message, start, eq + 1)
         opener, opened = self.ch, self.start
         self.depth += 1
         if self.depth > MAX_NESTING:
@@ -277,20 +326,60 @@ class _Parser:
 
     # -- property annotations --------------------------------------------------
 
-    def _parse_annotation(self) -> tuple[FieldProperties, int]:
-        """Read the annotation that opens at the current '(' token; return
-        its properties and the offset just past its ')'."""
-        text, opened, pos = self.text, self.start, self.end
+    def _cells(self, tab: int) -> list[tuple[int, str, int, int]]:
+        """The non-blank cells after the structure cell that ends at ``tab``,
+        as (column, text, start, end). Column 0 is OP, 1 DOMAIN, 2 EXAMPLE
+        VALUE, 3 the extra properties and 4 whatever follows them. EXAMPLE
+        VALUE is taken verbatim, the others stripped."""
+        cells = []
+        start = tab + 1
+        for column, cell in enumerate(self.text[start:self._line_end(tab)].split("\t", 4)):
+            value = cell if column == 2 else cell.strip()
+            if value:
+                at = start + cell.index(value)
+                cells.append((column, value, at, at + len(value)))
+            start += len(cell) + 1
+        return cells
+
+    def _read_cells(self, tab: int, end: int) -> tuple[FieldProperties | None, int]:
+        """Read the property cells of a field's row. Return the properties
+        (None if every cell is blank) and the end of the last non-blank
+        cell (``end`` if none is)."""
         entries: dict[str, tuple[str, int, int]] = {}
+        for column, value, start, end in self._cells(tab):
+            if column == 0:
+                entries["op"] = (value, start, end)
+            elif column == 1:  # a bare Type is a reference, [a|b] an enumeration
+                if value.startswith("[") and value.endswith("]"):
+                    value = "enum:" + value[1:-1].strip()
+                elif value not in BASIC_DOMAIN_KINDS and not value.startswith(("ref:", "enum:")):
+                    value = "ref:" + value
+                entries["domain"] = (value, start, end)
+            elif column == 2:
+                bad = _EXAMPLE_RE.match(value).end()
+                if bad < len(value):
+                    self._fail("P005", f"unescaped {value[bad]!r} in example value", start + bad)
+                entries["example"] = (_UNESCAPE_RE.sub(_unescape, value), start, end)
+            elif column == 3:
+                if value[0] != "(" or self._read_entries(start, entries, end) != end:
+                    self._fail("P005", "extra properties cell must be a parenthesised annotation", start, end)
+            else:
+                self._fail("P005", "a row has at most five cells", start, end)
+        return (self._build_properties(entries) if entries else None), end
+
+    def _read_entries(self, opened: int, entries: dict[str, tuple[str, int, int]], endpos: int) -> int:
+        """Read the annotation whose '(' is at ``opened``, up to ``endpos``,
+        into ``entries``; return the offset just past its ')'."""
+        text, pos = self.text, opened + 1
         while True:
-            m = _ENTRY_RE.match(text, pos)
+            m = self.entry_re.match(text, pos, endpos)
             key = m["key"]
             if not key:
                 at = m.start("key")
                 if text.startswith(")", at):
                     pos = at + 1
                     break
-                if at == len(text):
+                if at == endpos:
                     self._fail("P005", "unterminated property annotation", opened)
                 self._fail("P005", f"expected a property key, found {text[at]!r}", at)
             if not m["eq"]:
@@ -313,12 +402,10 @@ class _Parser:
                 break
             if not m["sep"]:
                 at = m.start("sep")
-                self._fail("P005", f"expected ';' or ')' in annotation, found {text[at:at + 1]!r}", at)
+                self._fail("P005", f"expected ';' or ')' in annotation, found {text[at:endpos][:1]!r}", at)
         if not entries:
             self._fail("P005", "empty property annotation", opened)
-        self.end = pos
-        self._next()
-        return self._build_properties(entries), pos
+        return pos
 
     def _build_properties(self, entries: dict[str, tuple[str, int, int]]) -> FieldProperties:
         """Turn the entries, each a value with the offsets of its text, into
@@ -402,37 +489,43 @@ def _domain_from_text(value: str) -> Domain:
 # ---------------------------------------------------------------------------
 
 
+# One token of a formula: a number, a function name, a ':' field reference,
+# a quoted string, or a single other character ("" at the end).
+_FORMULA_TOKEN_RE = re.compile(
+    r"[ \t\n]*(?P<token>(?P<number>\d+(?:\.\d+)?)|(?P<call>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|:(?P<ref>" + _name(r"[ \t]") + ")?"
+    r"""|(?P<quote>['"])(?P<text>(?:(?!(?P=quote))[^\\]|\\[\s\S]?)*)(?P<close>(?P=quote)?)|.?)"""
+)
+
+
 class _FormulaParser:
     """Tiny expression grammar: ``+ -`` over ``* /`` over atoms, all
     left-associative; atoms are ``:Field`` references, numbers, quoted
-    strings, function calls, and parenthesised groups.
+    strings, function calls, and parenthesised groups. It reads one token
+    per match of ``_FORMULA_TOKEN_RE``: ``m`` is the match, ``ch`` the
+    token's first character ("" at the end) and ``start`` its offset.
 
     Each method returns a node with its nesting level: 0 for an atom, and
     one over the deepest operand for an operator, a call or a group. Past
     ``_MAX_FORMULA_DEPTH`` the formula is rejected; ``open`` counts the open
     groups, so the reader's own recursion is bounded too."""
 
-    _NUMBER_RE = re.compile(r"\d+(?:\.\d+)?")
-    _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-
     def __init__(self, text: str):
         self.text = text
-        self.pos = 0
+        self.end = 0
         self.open = 0
+        self._next()
+
+    def _next(self) -> None:
+        self.m = m = _FORMULA_TOKEN_RE.match(self.text, self.end)
+        self.start, self.end = m.span("token")
+        self.ch = m["token"][:1]
 
     def parse(self) -> Formula:
         node, _ = self._expr()
-        self._skip()
-        if self.pos < len(self.text):
-            raise ValueError(f"unexpected {self.text[self.pos]!r} at offset {self.pos}")
+        if self.ch:
+            raise ValueError(f"unexpected {self.ch!r} at offset {self.start}")
         return node
-
-    def _skip(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos] in " \t\n":
-            self.pos += 1
-
-    def _peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
 
     @staticmethod
     def _level(depth: int) -> int:
@@ -440,102 +533,65 @@ class _FormulaParser:
             raise ValueError(f"nested too deep: more than {_MAX_FORMULA_DEPTH} levels")
         return depth
 
-    # _expr and _term loop in place, so a group costs three frames, not five.
-    def _expr(self) -> tuple[Formula, int]:
-        node, depth = self._term()
-        while True:
-            self._skip()
-            op = self._peek()
-            if op not in ("+", "-"):
-                return node, depth
-            self.pos += 1
-            right, right_depth = self._term()
+    def _expr(self, product: bool = False) -> tuple[Formula, int]:
+        """A sum, or with ``product`` a product. Each loops in place over its
+        operators, so a group costs three frames."""
+        node, depth = self._atom() if product else self._expr(True)
+        while self.ch in (("*", "/") if product else ("+", "-")):
+            op = self.ch
+            self._next()
+            right, right_depth = self._atom() if product else self._expr(True)
             node, depth = BinaryOp(op, node, right), self._level(max(depth, right_depth) + 1)
-
-    def _term(self) -> tuple[Formula, int]:
-        node, depth = self._atom()
-        while True:
-            self._skip()
-            op = self._peek()
-            if op not in ("*", "/"):
-                return node, depth
-            self.pos += 1
-            right, right_depth = self._atom()
-            node, depth = BinaryOp(op, node, right), self._level(max(depth, right_depth) + 1)
+        return node, depth
 
     def _atom(self) -> tuple[Formula, int]:
-        self._skip()
-        ch = self._peek()
+        m, ch = self.m, self.ch
         if ch == "":
             raise ValueError("formula ends where a value was expected")
         if ch == "(":
-            self.pos += 1
+            self._next()
             self.open = self._level(self.open + 1)
             node, depth = self._expr()
-            self._skip()
-            if self._peek() != ")":
+            if self.ch != ")":
                 raise ValueError("missing ')'")
-            self.pos += 1
+            self._next()
             self.open -= 1
             return node, self._level(depth + 1)
         if ch == ":":
-            self.pos += 1
-            m = _NAME_RE.match(self.text, self.pos)
-            if m is None:
+            if m["ref"] is None:
                 raise ValueError("':' must be followed by a field name")
-            self.pos = m.end()
-            return FieldRef(_WS_RE.sub(" ", m.group(0))), 0
-        if ch in "'\"":
-            return Text(self._string(ch)), 0
-        m = self._NUMBER_RE.match(self.text, self.pos)
-        if m is not None:
-            self.pos = m.end()
-            raw = m.group(0)
+            self._next()
+            return FieldRef(_WS_RE.sub(" ", m["ref"])), 0
+        if m["quote"]:
+            if not m["close"]:
+                raise ValueError("unterminated string")
+            self._next()
+            return Text(_UNESCAPE_RE.sub(_unescape, m["text"])), 0
+        if m["number"]:
+            self._next()
+            raw = m["number"]
             return Number(float(raw) if "." in raw else int(raw)), 0
-        m = self._IDENT_RE.match(self.text, self.pos)
-        if m is not None:
-            name = m.group(0)
-            self.pos = m.end()
-            self._skip()
-            if self._peek() != "(":
+        if m["call"]:
+            name = m["call"]
+            self._next()
+            if self.ch != "(":
                 raise ValueError(f"function name {name!r} must be followed by '('")
-            self.pos += 1
+            self._next()
             self.open = self._level(self.open + 1)
             args: list[Formula] = []
             depth = 0
-            self._skip()
-            while self._peek() != ")":
+            while self.ch != ")":
                 if args:
-                    if self._peek() != ",":
+                    if self.ch != ",":
                         raise ValueError("expected ',' or ')' in argument list")
-                    self.pos += 1
+                    self._next()
                 arg, arg_depth = self._expr()
                 args.append(arg)
                 depth = max(depth, arg_depth)
-                self._skip()
-            self.pos += 1
+            self._next()
             self.open -= 1
             return Call(name, tuple(args)), self._level(depth + 1)
         raise ValueError(f"unexpected {ch!r} in formula")
-
-    def _string(self, quote: str) -> str:
-        self.pos += 1
-        out: list[str] = []
-        while True:
-            if self.pos >= len(self.text):
-                raise ValueError("unterminated string")
-            ch = self.text[self.pos]
-            if ch == quote:
-                self.pos += 1
-                return "".join(out)
-            if ch == "\\":
-                self.pos += 1
-                esc = self.text[self.pos] if self.pos < len(self.text) else ""
-                self.pos += 1
-                out.append(_UNESCAPES.get(esc, "\\" + esc))
-                continue
-            out.append(ch)
-            self.pos += 1
 
 
 # ---------------------------------------------------------------------------
@@ -670,87 +726,6 @@ def _tabular(ms: MessageStructure) -> str:
                 cells.pop()
         lines.append("\t".join(cells))
     return "\n".join(lines) + "\n"
-
-
-def _detabulate(text: str) -> str:
-    """Rewrite the tabular layout into plain notation (no-op otherwise).
-
-    The first content line must be the column header. Property cells are
-    folded into a parenthesised annotation after the row's field name, so
-    line numbers in spans stay accurate."""
-    lines = text.split("\n")
-    first_content = next(
-        (ln for ln in lines if ln.strip() and not ln.lstrip().startswith("#")), ""
-    )
-    head = [c.strip() for c in first_content.split("\t")]
-    if not head or head[0] != _TAB_HEADER[0] or len(head) < 2:
-        return text
-    out: list[str] = []
-    seen_header = False
-    for lineno, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if not seen_header and stripped and not stripped.startswith("#"):
-            seen_header = True
-            out.append("")  # keep the header's line number occupied
-            continue
-        if "\t" not in line or not stripped or stripped.startswith("#"):
-            out.append(line)
-            continue
-        cells = line.split("\t")
-        struct_text = cells[0]
-        op = cells[1].strip() if len(cells) > 1 else ""
-        domain = cells[2].strip() if len(cells) > 2 else ""
-        example = cells[3] if len(cells) > 3 else ""  # kept verbatim: escaped form
-        extras = cells[4].strip() if len(cells) > 4 else ""
-        parts: list[str] = []
-        if op:
-            parts.append(f"op={op}")
-        if domain:
-            parts.append("domain=" + _domain_column_to_annotation(domain))
-        if example:
-            parts.append(f'example="{example}"')
-        if extras:
-            if not (extras.startswith("(") and extras.endswith(")")):
-                raise _error(
-                    "P005",
-                    "extra properties cell must be a parenthesised annotation",
-                    SourceSpan(lineno, 1, lineno, max(1, len(line))),
-                )
-            parts.append(extras[1:-1])
-        if not parts:
-            out.append(struct_text)
-            continue
-        annotated = _inject_annotation(struct_text, "; ".join(parts), lineno)
-        out.append(annotated)
-    return "\n".join(out)
-
-
-def _inject_annotation(struct_text: str, annotation: str, lineno: int) -> str:
-    head = struct_text.rstrip()
-    trailer_start = len(head)
-    while head and (head[-1] in "+|>}]" or head[-1] in " \t"):
-        head = head[:-1]
-        trailer_start = len(head)
-    lead = head
-    while lead and (lead[0] in "<{[|" or lead[0] in " \t"):
-        lead = lead[1:]
-    if not lead or lead.endswith("="):
-        raise _error(
-            "P005",
-            "property columns are only allowed on field rows",
-            SourceSpan(lineno, 1, lineno, max(1, len(struct_text))),
-        )
-    return struct_text[:trailer_start] + f" ({annotation})" + struct_text[trailer_start:]
-
-
-def _domain_column_to_annotation(value: str) -> str:
-    if value in BASIC_DOMAIN_KINDS:
-        return value
-    if value.startswith("[") and value.endswith("]"):
-        return "enum:" + value[1:-1].strip()
-    if value.startswith(("ref:", "enum:")):
-        return value
-    return f"ref:{value}"
 
 
 # ---------------------------------------------------------------------------

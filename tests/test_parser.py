@@ -377,6 +377,9 @@ def _field_span(ms, name: str) -> str:
     return f"{s.start_line}:{s.start_col}-{s.end_line}:{s.end_col}"
 
 
+_TABLE = "FIELD\tOP\tDOMAIN\tEXAMPLE VALUE\n"
+
+
 @pytest.mark.parametrize(
     "text, expected",
     [
@@ -405,6 +408,35 @@ def _field_span(ms, name: str) -> str:
                 "'C' = must be followed by '<', '{', or '[' (a bare name is always a field)",
                 "1:5-1:7",
             ),
+        ),
+        # The tabular layout is read in place: each diagnostic points into
+        # the cell at fault, and a cell is a value, never annotation syntax.
+        (_TABLE + "A =\n< x\tq\n>", ("P006", "unknown acquisition operation 'q'", "3:5-3:5")),
+        (
+            _TABLE + "A =\n< x\ti\t[a|a]\n>",
+            ("P005", "duplicate literals in enumerated domain: 'enum:a|a'", "3:7-3:11"),
+        ),
+        (_TABLE + 'A =\n< x\ti\ttext\tsay "hi\n>', ("P005", "unescaped '\"' in example value", "3:16-3:16")),
+        (
+            _TABLE + 'A =\n< x\ti\t\t\t(link="bad")\n>',
+            ("P005", "link must be 'Entity.attribute': 'bad'", "3:15-3:19"),
+        ),
+        (_TABLE + "A =\n< L = {\ti\nx }\n>", ("P005", "property cells must follow a field name", "3:9-3:9")),
+        (_TABLE + "A =\n<\ti\nx\n>", ("P005", "property cells must follow a field name", "3:3-3:3")),
+        (
+            _TABLE + 'A =\n< a\ti\tnumber\t1\t(desc="x")\tjunk\n>',
+            ("P005", "a row has at most five cells", "3:27-3:30"),
+        ),
+        (
+            _TABLE + 'A =\n< x\ti; label="L"\n>',
+            ("P006", "unknown acquisition operation 'i; label=\"L\"'", "3:5-3:16"),
+        ),
+        (_TABLE + 'A =\n< x\ti\ttext\tx"; desc="y\n>', ("P005", "unescaped '\"' in example value", "3:13-3:13")),
+        # A '#' in the extra-properties cell comments out the rest of the
+        # cell, not the rows below: the value is missing at the cell's end.
+        (
+            _TABLE + 'A =\n< x +\t\t\t\t(desc=#"note")\ny\ti\n>',
+            ("P005", "missing value for property 'desc'", "3:24-3:24"),
         ),
     ],
 )
@@ -546,6 +578,5 @@ def test_parse_is_total_on_arbitrary_text(text):
     for span in spans:
         assert 1 <= span.start_line <= span.end_line <= len(lines)
         assert span.start_col >= 1 and span.end_col >= 1
-        if "\t" not in text:  # the tabular layout is rewritten, so columns move
-            assert span.start_col <= len(lines[span.start_line - 1]) + 1
-            assert span.end_col <= len(lines[span.end_line - 1]) + 1
+        assert span.start_col <= len(lines[span.start_line - 1]) + 1
+        assert span.end_col <= len(lines[span.end_line - 1]) + 1
