@@ -139,6 +139,9 @@ class ReferenceDomain:
 
     target: str
 
+    def __post_init__(self) -> None:
+        _check_reference(self.target)
+
 
 @dataclass(frozen=True)
 class EnumeratedDomain:
@@ -147,13 +150,29 @@ class EnumeratedDomain:
     literals: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        if not self.literals:
-            raise ValueError("enumerated domain needs at least one literal")
-        if len(set(self.literals)) != len(self.literals):
-            raise ValueError(f"duplicate enum literals in {self.literals}")
+        _check_literals(self.literals)
 
 
 Domain = Union[BasicDomain, ReferenceDomain, EnumeratedDomain]
+
+
+# The domain rules. An error ends with the domain as ``written``, or else
+# with its annotation text.
+def _check_reference(target: str, written: str | None = None) -> None:
+    if not IDENTIFIER_RE.fullmatch(target):
+        quote = f"ref:{target}" if written is None else written
+        raise ValueError(f"reference domain needs a type name: {quote!r}")
+
+
+def _check_literals(literals: tuple[str, ...], written: str | None = None) -> None:
+    if not literals or not all(map(IDENTIFIER_RE.fullmatch, literals)):
+        problem = "bad enumerated domain"
+    elif len(set(literals)) != len(literals):
+        problem = "duplicate literals in enumerated domain"
+    else:
+        return
+    quote = "enum:" + "|".join(literals) if written is None else written
+    raise ValueError(f"{problem}: {quote!r}")
 
 
 def domain_to_text(d: Domain) -> str:
@@ -163,8 +182,34 @@ def domain_to_text(d: Domain) -> str:
         case ReferenceDomain(target):
             return f"ref:{target}"
         case EnumeratedDomain(literals):
-            return "enum:" + "|".join(literals)
+            # A lone literal of several words keeps a '|', or it would be
+            # read back as one literal per word.
+            tail = "|" if len(literals) == 1 and " " in literals[0] else ""
+            return "enum:" + "|".join(literals) + tail
     raise TypeError(f"not a domain: {d!r}")
+
+
+def _domain_from_text(text: str, written: str | None = None) -> Domain:
+    """The domain that ``text`` spells: a basic kind, ``ref:Type`` or
+    ``enum:a|b`` (literals split at '|', or else at blanks). Errors quote
+    ``written``, the text as the user wrote it, or else ``text``."""
+    written = text if written is None else written
+    if text in BASIC_DOMAIN_KINDS:
+        return BasicDomain(text)
+    if text.startswith("ref:"):
+        target = text[4:].strip()
+        _check_reference(target, written)
+        return ReferenceDomain(target)
+    if text.startswith("enum:"):
+        body = text[5:].strip()
+        parts = body.split("|") if "|" in body else body.split()
+        literals = tuple(p.strip() for p in parts if p.strip())
+        _check_literals(literals, written)
+        return EnumeratedDomain(literals)
+    raise ValueError(
+        f"unknown domain {written!r} (expected one of {', '.join(BASIC_DOMAIN_KINDS)}, "
+        "'ref:Type', or 'enum:a|b')"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -181,10 +226,10 @@ class Acquisition:
     formula: Formula | None = None
 
     def __post_init__(self) -> None:
+        if self.formula is not None and self.op != "d":
+            raise ValueError("a derivation formula requires op=d")
         if self.op not in ("i", "g", "d"):
             raise ValueError(f"unknown acquisition operation {self.op!r}")
-        if self.formula is not None and self.op != "d":
-            raise ValueError("only derivation ('d') carries a formula")
 
 
 @dataclass(frozen=True)
@@ -204,11 +249,8 @@ class FieldProperties:
     visible: bool | None = None
 
     def __post_init__(self) -> None:
-        if self.memory_link is not None and not MEMORY_LINK_RE.fullmatch(self.memory_link):
-            raise ValueError(f"memory link must be 'Entity.attribute': {self.memory_link!r}")
-
-    def is_empty(self) -> bool:
-        return self == EMPTY_PROPERTIES
+        if self.memory_link is not None:
+            _check_link(self.memory_link)
 
     def to_mapping(self) -> dict[str, str]:
         """Present properties as annotation key/value text, in print order."""
@@ -237,6 +279,11 @@ class FieldProperties:
 
 
 EMPTY_PROPERTIES = FieldProperties()
+
+
+def _check_link(link: str) -> None:
+    if not MEMORY_LINK_RE.fullmatch(link):
+        raise ValueError(f"link must be 'Entity.attribute': {link!r}")
 
 
 # ---------------------------------------------------------------------------

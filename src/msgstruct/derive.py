@@ -44,13 +44,14 @@ from .core import (
     MessageStructure,
     ReferenceDomain,
     Specialisation,
+    _domain_from_text,
     _traverse,
     canonicalize,
     domain_to_text,
     formula_to_text,
 )
 from .diagnostics import Diagnostic, Severity, SourceSpan
-from .parser import ParseError, parse, parse_formula, _domain_from_text
+from .parser import ParseError, parse, parse_formula
 
 if TYPE_CHECKING:
     from pathlib import Path

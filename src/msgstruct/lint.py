@@ -63,20 +63,23 @@ class Level(Enum):
     DISCOURAGED = "--"
 
 
-PROPERTY_KINDS = (
-    "name",
-    "op-i",
-    "op-g",
-    "op-d",
-    "domain",
-    "example",
-    "description",
-    "label",
-    "link",
-    "compulsoriness",
-    "initialisation",
-    "visibility",
-)
+# The property kinds of the applicability matrix, in its column order, each
+# with the code and the label of its diagnostics.
+_VOCABULARY = {
+    "name": ("L-NAME", "name"),
+    "op-i": ("L-OPI", "input operation"),
+    "op-g": ("L-OPG", "generation operation"),
+    "op-d": ("L-OPD", "derivation operation"),
+    "domain": ("L-DOM", "domain"),
+    "example": ("L-EX", "example"),
+    "description": ("L-DESC", "description"),
+    "label": ("L-LABEL", "label"),
+    "link": ("L-LINK", "link with memory"),
+    "compulsoriness": ("L-REQ", "compulsoriness"),
+    "initialisation": ("L-INIT", "initialisation"),
+    "visibility": ("L-VIS", "visibility"),
+}
+PROPERTY_KINDS = tuple(_VOCABULARY)
 
 _PP, _P, _N, _NN = Level.HIGHLY_RECOMMENDED, Level.RECOMMENDED, Level.NOT_RECOMMENDED, Level.DISCOURAGED
 
@@ -90,36 +93,6 @@ APPLICABILITY: dict[tuple[Phase, str], Level] = {
     (phase, kind): level
     for phase, row in _ROWS.items()
     for kind, level in zip(PROPERTY_KINDS, row)
-}
-
-_CODES = {
-    "name": "L-NAME",
-    "op-i": "L-OPI",
-    "op-g": "L-OPG",
-    "op-d": "L-OPD",
-    "domain": "L-DOM",
-    "example": "L-EX",
-    "description": "L-DESC",
-    "label": "L-LABEL",
-    "link": "L-LINK",
-    "compulsoriness": "L-REQ",
-    "initialisation": "L-INIT",
-    "visibility": "L-VIS",
-}
-
-_LABELS = {
-    "name": "name",
-    "op-i": "input operation",
-    "op-g": "generation operation",
-    "op-d": "derivation operation",
-    "domain": "domain",
-    "example": "example",
-    "description": "description",
-    "label": "label",
-    "link": "link with memory",
-    "compulsoriness": "compulsoriness",
-    "initialisation": "initialisation",
-    "visibility": "visibility",
 }
 
 _SEVERITY_ORDER = {None: 0, Severity.INFO: 1, Severity.WARNING: 2, Severity.ERROR: 3}
@@ -250,13 +223,14 @@ def lint(
     # The phase's row of the matrix, resolved once per call: the kinds that
     # report, with their severity and the word for their level, and the
     # kinds that are highly recommended.
-    reported: dict[str, tuple[Severity, str]] = {}
+    reported: dict[str, tuple[Severity, str, str]] = {}
     wanted: list[str] = []
     for kind, level in zip(PROPERTY_KINDS, _ROWS[phase]):
         severity = config.severity_map[level]
         if severity is not None:
             word = "discouraged" if level is Level.DISCOURAGED else "not recommended"
-            reported[kind] = (severity, word)
+            code, label = _VOCABULARY[kind]
+            reported[kind] = (severity, code, f"{label} {word}")
         if level is Level.HIGHLY_RECOMMENDED:
             wanted.append(kind)
     out: list[Diagnostic] = []
@@ -266,12 +240,12 @@ def lint(
             rule = reported.get(kind)
             if rule is None:
                 continue
-            severity, word = rule
+            severity, code, text = rule
             out.append(
                 Diagnostic(
                     severity,
-                    _CODES[kind],
-                    f"{_LABELS[kind]} {word} in {phase.value} (field {f.name!r})",
+                    code,
+                    f"{text} in {phase.value} (field {f.name!r})",
                     f.span,
                 )
             )
@@ -296,7 +270,7 @@ def _missing_labels(wanted: list[str], present: list[str]) -> list[str]:
         missing.append("acquisition operation")
     for kind in wanted:
         if not kind.startswith("op-") and kind not in present:
-            missing.append(_LABELS[kind])
+            missing.append(_VOCABULARY[kind][1])
     return missing
 
 

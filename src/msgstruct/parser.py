@@ -17,6 +17,10 @@ form or as the vertical tabular layout with OP / DOMAIN / EXAMPLE columns.
 Both renderings re-parse to an equivalent structure with identical field
 properties.
 
+The parser only locates property values. The rules on them live in the
+``core`` constructors, whose ``ValueError`` becomes a P005 or P006
+diagnostic at the value's span.
+
 Errors are raised as :class:`ParseError` carrying diagnostics:
 
     P001  unbalanced bracket
@@ -43,25 +47,21 @@ from .core import (
     BASIC_DOMAIN_KINDS,
     BinaryOp,
     Call,
-    Domain,
-    BasicDomain,
     EMPTY_PROPERTIES,
-    EnumeratedDomain,
     Field,
     FieldProperties,
     FieldRef,
     Formula,
     Iteration,
-    MEMORY_LINK_RE,
     MessageStructure,
     Number,
-    ReferenceDomain,
     Specialisation,
     Substructure,
     Text,
+    _check_link,
+    _domain_from_text,
     _fold,
     _traverse,
-    is_identifier,
 )
 from .diagnostics import Diagnostic, Severity, SourceSpan
 
@@ -137,6 +137,9 @@ _MATCHING = {"<": ">", "{": "}", "[": "]"}
 _BRACKETS = {Aggregation: "<>", Iteration: "{}", Specialisation: "[]"}
 
 _TAB_HEADER = ("FIELD", "OP", "DOMAIN", "EXAMPLE VALUE")
+
+# The entries of an annotation or a row's cells: key -> (value, offsets of its text).
+_Entries = dict[str, tuple[str, int, int]]
 
 _ESCAPES = {"\\": "\\\\", '"': '\\"', "\t": "\\t", "\n": "\\n", "\r": "\\r"}
 _UNESCAPES = {"\\": "\\", '"': '"', "'": "'", "t": "\t", "n": "\n", "r": "\r"}
@@ -288,7 +291,7 @@ class _Parser:
                 properties, end = self._read_cells(self.cells, end)
             name, start, _ = self._read_name("a substructure")
             if properties is None and self.ch == "(":
-                entries: dict[str, tuple[str, int, int]] = {}
+                entries: _Entries = {}
                 end = self.end = self._read_entries(self.start, entries, len(self.text))
                 self._next()
                 properties = self._build_properties(entries)
@@ -345,11 +348,13 @@ class _Parser:
         """Read the property cells of a field's row. Return the properties
         (None if every cell is blank) and the end of the last non-blank
         cell (``end`` if none is)."""
-        entries: dict[str, tuple[str, int, int]] = {}
+        entries: _Entries = {}
+        domain_cell = None
         for column, value, start, end in self._cells(tab):
             if column == 0:
                 entries["op"] = (value, start, end)
             elif column == 1:  # a bare Type is a reference, [a|b] an enumeration
+                domain_cell = value
                 if value.startswith("[") and value.endswith("]"):
                     value = "enum:" + value[1:-1].strip()
                 elif value not in BASIC_DOMAIN_KINDS and not value.startswith(("ref:", "enum:")):
@@ -361,16 +366,18 @@ class _Parser:
                     self._fail("P005", f"unescaped {value[bad]!r} in example value", start + bad)
                 entries["example"] = (_UNESCAPE_RE.sub(_unescape, value), start, end)
             elif column == 3:
-                if value[0] != "(" or self._read_entries(start, entries, end) != end:
+                if value[0] != "(" or self._read_entries(start, entries, end, cell=True) != end:
                     self._fail("P005", "extra properties cell must be a parenthesised annotation", start, end)
             else:
                 self._fail("P005", "a row has at most five cells", start, end)
-        return (self._build_properties(entries) if entries else None), end
+        return (self._build_properties(entries, domain_cell) if entries else None), end
 
-    def _read_entries(self, opened: int, entries: dict[str, tuple[str, int, int]], endpos: int) -> int:
+    def _read_entries(self, opened: int, entries: _Entries, endpos: int, cell: bool = False) -> int:
         """Read the annotation whose '(' is at ``opened``, up to ``endpos``,
-        into ``entries``; return the offset just past its ')'."""
+        into ``entries``; return the offset just past its ')'. An error at
+        the end of a ``cell`` is reported on the cell's last character."""
         text, pos = self.text, opened + 1
+        last = endpos - 1 if cell else endpos
         while True:
             m = self.entry_re.match(text, pos, endpos)
             key = m["key"]
@@ -383,7 +390,7 @@ class _Parser:
                     self._fail("P005", "unterminated property annotation", opened)
                 self._fail("P005", f"expected a property key, found {text[at]!r}", at)
             if not m["eq"]:
-                self._fail("P005", f"expected '=' after property key {key!r}", m.start("eq"))
+                self._fail("P005", f"expected '=' after property key {key!r}", min(m.start("eq"), last))
             if m["quote"]:
                 start, end = m.start("quote"), m.end("close")
                 if not m["close"]:
@@ -393,7 +400,7 @@ class _Parser:
                 start, end = m.span("bare")
                 value = m["bare"].strip()
                 if not value:
-                    self._fail("P005", f"missing value for property {key!r}", end)
+                    self._fail("P005", f"missing value for property {key!r}", min(end, last))
             if key in entries:
                 self._fail("P005", f"duplicate property key {key!r}", *m.span("key"))
             entries[key] = (value, start, end)
@@ -402,86 +409,59 @@ class _Parser:
                 break
             if not m["sep"]:
                 at = m.start("sep")
-                self._fail("P005", f"expected ';' or ')' in annotation, found {text[at:endpos][:1]!r}", at)
+                self._fail("P005", f"expected ';' or ')' in annotation, found {text[at:endpos][:1]!r}", min(at, last))
         if not entries:
             self._fail("P005", "empty property annotation", opened)
         return pos
 
-    def _build_properties(self, entries: dict[str, tuple[str, int, int]]) -> FieldProperties:
-        """Turn the entries, each a value with the offsets of its text, into
-        field properties."""
-        op: str | None = None
+    def _build_properties(self, entries: _Entries, domain_cell: str | None = None) -> FieldProperties:
+        """Turn the entries into field properties. The rules on each value
+        are those of the ``core`` constructors; a ``ValueError`` from one is
+        reported at its entry. Domain errors quote ``domain_cell``, a
+        tabular DOMAIN cell as written, when there is one."""
+        acquisition: Acquisition | None = None
         formula: Formula | None = None
         kwargs: dict = {}
         for key, (value, start, end) in entries.items():
-            if key == "op":
-                if value not in ("i", "g", "d"):
-                    self._fail("P006", f"unknown acquisition operation {value!r}", start, end)
-                op = value
-            elif key == "formula":
-                formula = self._parse_formula_value(value, start, end)
-            elif key == "domain":
-                try:
-                    kwargs["domain"] = _domain_from_text(value)
-                except ValueError as exc:
-                    self._fail("P005", str(exc), start, end)
-            elif key == "example":
-                kwargs["example"] = value
-            elif key == "desc":
-                kwargs["description"] = value
-            elif key == "label":
-                kwargs["label"] = value
-            elif key == "link":
-                if not MEMORY_LINK_RE.fullmatch(value):
-                    self._fail("P005", f"link must be 'Entity.attribute': {value!r}", start, end)
-                kwargs["memory_link"] = value
-            elif key == "required":
-                kwargs["compulsory"] = self._parse_bool(value, start, end)
-            elif key == "visible":
-                kwargs["visible"] = self._parse_bool(value, start, end)
-            elif key == "init":
-                kwargs["initialisation"] = self._parse_formula_value(value, start, end)
-            else:
-                self._fail("P005", f"unknown property key {key!r}", start, end)
-        if formula is not None and op != "d":
-            self._fail("P005", "a derivation formula requires op=d", *entries["formula"][1:])
-        if op is not None:
-            kwargs["acquisition"] = Acquisition(op, formula)
-        return FieldProperties(**kwargs)
-
-    def _parse_bool(self, value: str, start: int, end: int) -> bool:
-        if value not in ("true", "false"):
-            self._fail("P005", f"expected true or false, found {value!r}", start, end)
-        return value == "true"
-
-    def _parse_formula_value(self, value: str, start: int, end: int) -> Formula:
-        try:
-            return parse_formula(value)
-        except ValueError as exc:
-            self._fail("P005", f"bad formula: {exc}", start, end)
+            try:
+                if key == "op":
+                    acquisition = Acquisition(value)
+                elif key == "formula":
+                    formula = parse_formula(value)
+                elif key == "domain":
+                    kwargs["domain"] = _domain_from_text(value, domain_cell)
+                elif key == "example":
+                    kwargs["example"] = value
+                elif key == "desc":
+                    kwargs["description"] = value
+                elif key == "label":
+                    kwargs["label"] = value
+                elif key == "link":
+                    _check_link(value)
+                    kwargs["memory_link"] = value
+                elif key == "required":
+                    kwargs["compulsory"] = _parse_bool(value)
+                elif key == "visible":
+                    kwargs["visible"] = _parse_bool(value)
+                elif key == "init":
+                    kwargs["initialisation"] = parse_formula(value)
+                else:
+                    self._fail("P005", f"unknown property key {key!r}", start, end)
+            except ValueError as exc:
+                message = f"bad formula: {exc}" if key in ("formula", "init") else str(exc)
+                self._fail("P006" if key == "op" else "P005", message, start, end)
+        if formula is not None:
+            try:
+                acquisition = Acquisition(acquisition and acquisition.op, formula)
+            except ValueError as exc:
+                self._fail("P005", str(exc), *entries["formula"][1:])
+        return FieldProperties(acquisition=acquisition, **kwargs)
 
 
-def _domain_from_text(value: str) -> Domain:
-    if value in BASIC_DOMAIN_KINDS:
-        return BasicDomain(value)
-    if value.startswith("ref:"):
-        target = value[4:].strip()
-        if not is_identifier(target):
-            raise ValueError(f"reference domain needs a type name: {value!r}")
-        return ReferenceDomain(target)
-    if value.startswith("enum:"):
-        body = value[5:].strip()
-        parts = body.split("|") if "|" in body else body.split()
-        literals = tuple(p.strip() for p in parts if p.strip())
-        if not literals or not all(is_identifier(lit) for lit in literals):
-            raise ValueError(f"bad enumerated domain: {value!r}")
-        if len(set(literals)) != len(literals):
-            raise ValueError(f"duplicate literals in enumerated domain: {value!r}")
-        return EnumeratedDomain(literals)
-    raise ValueError(
-        f"unknown domain {value!r} (expected one of {', '.join(BASIC_DOMAIN_KINDS)}, "
-        "'ref:Type', or 'enum:a|b')"
-    )
+def _parse_bool(value: str) -> bool:
+    if value not in ("true", "false"):
+        raise ValueError(f"expected true or false, found {value!r}")
+    return value == "true"
 
 
 # ---------------------------------------------------------------------------
@@ -664,15 +644,15 @@ class _Row:
         self.can_absorb = absorb
 
 
-def _domain_column(domain: Domain) -> str:
-    match domain:
-        case BasicDomain(kind):
-            return kind
-        case ReferenceDomain(target):
-            return target
-        case EnumeratedDomain(literals):
-            return "[" + "|".join(literals) + "]"
-    raise TypeError(f"not a domain: {domain!r}")
+def _domain_column(text: str) -> str:
+    """The DOMAIN cell of a domain that an annotation spells ``text``:
+    ``[a|b]`` for ``enum:a|b``, and ``Type`` for ``ref:Type`` unless the
+    type is named like a basic domain."""
+    if text.startswith("enum:"):
+        return f"[{text[5:]}]"
+    if text.startswith("ref:") and text[4:] not in BASIC_DOMAIN_KINDS:
+        return text[4:]
+    return text
 
 
 def _tabular(ms: MessageStructure) -> str:
@@ -710,11 +690,7 @@ def _tabular(ms: MessageStructure) -> str:
                 k: v for k, v in mapping.items() if k not in ("op", "domain", "example")
             }
             op = mapping.get("op", "")
-            domain = (
-                _domain_column(row.field.properties.domain)
-                if row.field.properties.domain is not None
-                else ""
-            )
+            domain = _domain_column(mapping["domain"]) if "domain" in mapping else ""
             example = _escape(mapping["example"]) if "example" in mapping else ""
             if mapping.get("example") == "":
                 # An empty cell reads back as "absent", so an empty example

@@ -12,10 +12,12 @@ from conftest import SUGAR_FORMS
 from msgstruct.core import (
     Acquisition,
     Aggregation,
+    EnumeratedDomain,
     Field,
     FieldProperties,
     Iteration,
     MessageStructure,
+    ReferenceDomain,
     Specialisation,
     _shape,
     canonicalize,
@@ -165,6 +167,11 @@ def test_specialisation_walk_covers_variants(assignment):
         lambda: MessageStructure("", Aggregation(None, (Field("a"),))),
         lambda: Acquisition("x"),
         lambda: Acquisition("i", formula=()),
+        lambda: ReferenceDomain("9x"),
+        lambda: ReferenceDomain(""),
+        lambda: EnumeratedDomain(("9",)),
+        lambda: EnumeratedDomain(("a", "a")),
+        lambda: FieldProperties(memory_link="bad"),
     ],
 )
 def test_ill_formed_nodes_are_rejected(build):

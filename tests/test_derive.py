@@ -248,7 +248,7 @@ def test_conflicting_domains_raise_d003():
 
 
 def parse_domain(text):
-    from msgstruct.parser import _domain_from_text
+    from msgstruct.core import _domain_from_text
 
     return _domain_from_text(text)
 

@@ -13,12 +13,14 @@ from conftest import (
     VEHICLE_NESTED,
 )
 from msgstruct.core import (
+    Acquisition,
     Aggregation,
     BasicDomain,
     BinaryOp,
     Call,
     EnumeratedDomain,
     Field,
+    FieldProperties,
     FieldRef,
     Iteration,
     MessageStructure,
@@ -414,7 +416,7 @@ _TABLE = "FIELD\tOP\tDOMAIN\tEXAMPLE VALUE\n"
         (_TABLE + "A =\n< x\tq\n>", ("P006", "unknown acquisition operation 'q'", "3:5-3:5")),
         (
             _TABLE + "A =\n< x\ti\t[a|a]\n>",
-            ("P005", "duplicate literals in enumerated domain: 'enum:a|a'", "3:7-3:11"),
+            ("P005", "duplicate literals in enumerated domain: '[a|a]'", "3:7-3:11"),
         ),
         (_TABLE + 'A =\n< x\ti\ttext\tsay "hi\n>', ("P005", "unescaped '\"' in example value", "3:16-3:16")),
         (
@@ -433,15 +435,55 @@ _TABLE = "FIELD\tOP\tDOMAIN\tEXAMPLE VALUE\n"
         ),
         (_TABLE + 'A =\n< x\ti\ttext\tx"; desc="y\n>', ("P005", "unescaped '\"' in example value", "3:13-3:13")),
         # A '#' in the extra-properties cell comments out the rest of the
-        # cell, not the rows below: the value is missing at the cell's end.
+        # cell, not the rows below: the value is missing at the cell's end,
+        # and the error lands on the cell's last character.
         (
             _TABLE + 'A =\n< x +\t\t\t\t(desc=#"note")\ny\ti\n>',
-            ("P005", "missing value for property 'desc'", "3:24-3:24"),
+            ("P005", "missing value for property 'desc'", "3:23-3:23"),
+        ),
+        # A DOMAIN error quotes the cell as written.
+        (
+            _TABLE + "A =\n< x\ti\ttime;\n>",
+            ("P005", "reference domain needs a type name: 'time;'", "3:7-3:11"),
+        ),
+        (_TABLE + "A =\n< x\ti\t[]\n>", ("P005", "bad enumerated domain: '[]'", "3:7-3:8")),
+        # An extras cell that ends inside its annotation.
+        (
+            _TABLE + 'A =\n< x +\t\t\t\t(desc="x"\ny\ti\n>',
+            ("P005", "expected ';' or ')' in annotation, found ''", "3:18-3:18"),
+        ),
+        (_TABLE + "A =\n< x +\t\t\t\t(desc=\ny\ti\n>", ("P005", "missing value for property 'desc'", "3:15-3:15")),
+        (
+            _TABLE + "A =\n< x +\t\t\t\t(desc\ny\ti\n>",
+            ("P005", "expected '=' after property key 'desc'", "3:14-3:14"),
         ),
     ],
 )
 def test_scanner_diagnostics(text, expected):
     assert _diagnostic(text) == expected
+
+
+@pytest.mark.parametrize(
+    "annotation, build",
+    [
+        ("op=q", lambda: Acquisition("q")),
+        ("op=i; formula=:y", lambda: Acquisition("i", FieldRef("y"))),
+        ("formula=:y", lambda: Acquisition(None, FieldRef("y"))),
+        ("link=bad", lambda: FieldProperties(memory_link="bad")),
+        ("domain=enum:a|a", lambda: EnumeratedDomain(("a", "a"))),
+        ("domain=enum:", lambda: EnumeratedDomain(())),
+        ("domain=enum:9", lambda: EnumeratedDomain(("9",))),
+        ("domain=ref:9x", lambda: ReferenceDomain("9x")),
+    ],
+)
+def test_a_bad_value_is_reported_with_its_owners_message(annotation, build):
+    # Each value rule is stated once, by the core constructor of the value it
+    # governs; the parser reports that constructor's message at the entry.
+    with pytest.raises(ValueError) as owner:
+        build()
+    code, message, _ = _diagnostic(f"A=<x ({annotation})>")
+    assert code == ("P006" if annotation == "op=q" else "P005")
+    assert message.startswith(str(owner.value))
 
 
 def test_annotation_entries_may_continue_on_the_next_line():
