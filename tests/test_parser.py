@@ -40,6 +40,8 @@ from msgstruct.parser import (
     structure_to_json_obj,
     to_text,
 )
+import parse_golden
+from parse_golden import mutate
 from properties import prop_print_parse_roundtrip
 
 
@@ -582,29 +584,13 @@ _pieces = st.lists(st.sampled_from(_PIECES), max_size=40).map("".join)
 _edits = st.lists(
     st.tuples(
         st.integers(0, 2000),
-        st.sampled_from(["insert", "delete", "replace", "truncate"]),
+        st.sampled_from(parse_golden.EDITS),
         st.sampled_from(_PIECES),
     ),
     min_size=1,
     max_size=4,
 )
-
-
-def _mutate(text: str, edits: list[tuple[int, str, str]]) -> str:
-    for at, edit, piece in edits:
-        at %= len(text) + 1
-        if edit == "insert":
-            text = text[:at] + piece + text[at:]
-        elif edit == "delete":
-            text = text[:at] + text[at + len(piece) :]
-        elif edit == "replace":
-            text = text[:at] + piece + text[at + len(piece) :]
-        else:
-            text = text[:at]
-    return text
-
-
-_texts = _pieces | st.builds(_mutate, st.sampled_from(_CORPUS), _edits)
+_texts = _pieces | st.builds(mutate, st.sampled_from(_CORPUS), _edits)
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
@@ -622,3 +608,17 @@ def test_parse_is_total_on_arbitrary_text(text):
         assert span.start_col >= 1 and span.end_col >= 1
         assert span.start_col <= len(lines[span.start_line - 1]) + 1
         assert span.end_col <= len(lines[span.end_line - 1]) + 1
+
+
+def test_parse_matches_the_golden_file():
+    """Trees, spans and diagnostics are those pinned in
+    ``tests/data/parse_golden.jsonl`` (see ``tests/parse_golden.py``)."""
+    bases, records = parse_golden.load()
+    assert len(records) > 1500
+    changed = []
+    for record in records:
+        text = parse_golden.text_of(record, bases)
+        expected = {k: record[k] for k in ("tree", "error") if k in record}
+        if parse_golden.outcome(text) != expected:
+            changed.append(text)
+    assert not changed, f"{len(changed)} of {len(records)} differ, the first: {changed[0]!r}"
