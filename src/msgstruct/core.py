@@ -232,7 +232,7 @@ class Acquisition:
             raise ValueError(f"unknown acquisition operation {self.op!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FieldProperties:
     """The annotations of one field: acquisition, domain, example,
     description, label, memory link, compulsoriness, initialisation and
@@ -319,7 +319,7 @@ class _Node:
         return hash(self._key())
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Field(_Node):
     """Leaf element: a basic informational unit of the message."""
 
@@ -332,7 +332,7 @@ class Field(_Node):
             raise ValueError(f"invalid field name {self.name!r}")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Aggregation(_Node):
     """Ordered grouping ``< a + b + ... >``; the parts remain one whole."""
 
@@ -344,7 +344,7 @@ class Aggregation(_Node):
         _check_complex(self.name, self.children)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Iteration(_Node):
     """Repetition ``{ ... }``: a set of the contained substructure list."""
 
@@ -356,7 +356,7 @@ class Iteration(_Node):
         _check_complex(self.name, self.children)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Specialisation(_Node):
     """Structural alternatives ``[ a | b ]``; a single variant expresses
     optionality of its content."""
@@ -386,7 +386,7 @@ Complex = Union[Aggregation, Iteration, Specialisation]
 Substructure = Union[Field, Aggregation, Iteration, Specialisation]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class MessageStructure(_Node):
     """Named root of the tree. The initial substructure is an aggregation or
     an iteration (a specialisation root is rejected by the parser and, for

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SourceSpan:
     """Region of the input text, 1-based, end-inclusive."""
 

@@ -47,6 +47,7 @@ from .core import (
     BASIC_DOMAIN_KINDS,
     BinaryOp,
     Call,
+    Domain,
     EMPTY_PROPERTIES,
     Field,
     FieldProperties,
@@ -92,11 +93,12 @@ def _error(code: str, message: str, span: SourceSpan) -> ParseError:
 
 def _name(gap: str) -> str:
     """A name: words of letters, digits and hyphens, one run of ``gap`` apart."""
-    return rf"[A-Za-z](?:[A-Za-z0-9-]|{gap}+(?=[A-Za-z0-9]))*"
+    return rf"[A-Za-z][A-Za-z0-9-]*(?:{gap}+[A-Za-z0-9][A-Za-z0-9-]*)*"
 
 
-def _scanner(tabular: bool) -> tuple[re.Pattern, re.Pattern]:
-    """The token and annotation-entry patterns of one layout.
+def _scanner(tabular: bool) -> tuple[re.Pattern, ...]:
+    """The token and annotation-entry patterns of one layout, and those of
+    the fast path: an annotation, a tabular row's cells, and a field.
 
     Blank space and '#' comments come before every token. A comment runs to
     the end of its line; the lookahead keeps a backtracking match from
@@ -110,7 +112,7 @@ def _scanner(tabular: bool) -> tuple[re.Pattern, re.Pattern]:
         blank, gap, stop, escaped = r"[ \t\n]", r"[ \t]", "", r"[\s\S]"
     ws = rf"{blank}*(?:#[^\n]*(?=\n|\Z){blank}*)*"
     # One token: a name, or a single other character ("" at the end).
-    token = rf"{ws}(?:({_name(gap)})|(.?))"
+    token = rf"{ws}(?:(?P<name>{_name(gap)})|(?P<ch>.?))"
     # One entry, ``key = value`` and the ';' or ')' after it. Every part may
     # be empty, so the match always succeeds; the first part found empty is
     # the one missing, and where it starts is where the error is.
@@ -119,9 +121,46 @@ def _scanner(tabular: bool) -> tuple[re.Pattern, re.Pattern]:
         rf'(?:(?P<quote>")(?P<text>(?:[^"\\\n{stop}]|\\{escaped}?)*)(?P<close>"?)|(?P<bare>[^;)\n{stop}]*))'
         rf"{ws}(?P<sep>[;)]?)"
     )
-    return re.compile(token), re.compile(entry)
+    # The fast path takes a well-formed annotation in one match: no comment,
+    # each key at most once and in the order ``to_text`` writes them, op,
+    # domain, required and visible bare and the other values quoted. A
+    # value group holds the value as the entry loop reads it, before
+    # unescaping; a quoted one ends at the first unescaped '"', as there.
+    # In the tabular layout the annotation lies in one cell.
+    b = "[ ]" if tabular else r"[ \t\n]"
+    quoted = rf'[^"\\\n{stop}]*(?:\\{escaped}[^"\\\n{stop}]*)*'
+    value = {
+        "op": "[igd]",
+        "domain": rf"[^;)\s\"#](?:[^;)\n{stop}]*[^;)\s])?",
+        "required": "true|false",
+        "visible": "true|false",
+    }
+    entries = "".join(
+        rf"(?:{key}{b}*={b}*" + (f"(?P<{key}>{value[key]})" if key in value else f'"(?P<{key}>{quoted})"')
+        + rf"{b}*(?:;{b}*|(?=\))))?"
+        for key in _FAST_KEYS
+    )
+    annotation = rf"\({b}*(?!\)){entries}\)"
+    if tabular:
+        # A row's cells after the structure cell: OP, DOMAIN and the extra
+        # properties stripped, EXAMPLE VALUE verbatim with '"' and '\\'
+        # escaped, and no fifth cell.
+        cell = r" *(?P<{}>[^\s](?:[^\t\n]*[^\s])?)? *"
+        row = (
+            r"\t *(?P<op>[igd])? *(?:\t" + cell.format("domain")
+            + r'(?:\t(?P<example>[^\t\n"\\]*(?:\\[^\t\n][^\t\n"\\]*)*)(?:\t' + cell.format("extras") + r")?)?)?(?=\n|\Z)"
+        )
+        # A field: a '+' if any, its row's cells, and the token after them.
+        field = rf" *(?:(?P<plus>\+) *)?{row}{token}"
+    else:
+        row = "$^"
+        # A field: its annotation if any, a '+' if any, and the token after.
+        field = rf"(?:{b}*(?P<annotation>{annotation}))?(?:{ws}(?P<plus>\+))?{token}"
+    return tuple(map(re.compile, (token, entry, annotation, row, field)))
 
 
+# The property keys in the order ``FieldProperties.to_mapping`` gives them.
+_FAST_KEYS = ("op", "domain", "example", "desc", "label", "link", "required", "init", "visible", "formula")
 _SCANNERS = (_scanner(tabular=False), _scanner(tabular=True))
 _WS_RE = re.compile(r"[ \t\n]+")
 # What may stand between a tabular field's name and the tab that ends its
@@ -190,9 +229,13 @@ class _Parser:
         row = next((i for i, ln in enumerate(lines) if ln.strip() and not ln.lstrip().startswith("#")), 0)
         head = lines[row].split("\t")
         self.tabular = len(head) > 1 and head[0].strip() == _TAB_HEADER[0]
-        self.token_re, self.entry_re = _SCANNERS[self.tabular]
+        self.token_re, self.entry_re, self.annotation_re, self.row_re, self.field_re = _SCANNERS[self.tabular]
         self.depth = 0
         self.cells = -1
+        # Immutable values built once per parse: acquisitions by op, and
+        # domains by text and cell. A value that raises is not stored.
+        self.acquisitions: dict[str, Acquisition] = {}
+        self.domains: dict[tuple[str, str | None], Domain] = {}
         self.end = self.line_starts[row + 1] if self.tabular else 0
         self._next()
 
@@ -219,12 +262,100 @@ class _Parser:
         """The span of ``text[start:end]``. It ends one column before
         ``end``, but never before column 1 or before it starts, so an empty
         range is the one character at ``start``."""
-        line, col = self._loc(start)
+        starts = self.line_starts
+        line = bisect_right(starts, start)
+        col = start - starts[line - 1] + 1
+        if end < starts[line]:  # on the same line, as most spans are
+            return SourceSpan(line, col, line, max(col, end - starts[line - 1]))
         end_line, end_col = self._loc(end)
-        end_col = max(1, end_col - 1)
-        if (end_line, end_col) < (line, col):
-            end_line, end_col = line, col
-        return SourceSpan(line, col, end_line, end_col)
+        return SourceSpan(line, col, end_line, max(1, end_col - 1))
+
+    def _fast_field(self) -> tuple[Field, bool] | None:
+        """The field at the current name and the token after it, read in
+        one match with the field's annotation or row and a '+' after it, if
+        any; and whether there was a '+'. None where the fast path does not
+        take the field, which the entry loop then reads."""
+        m = self.field_re.match(self.text, self.end)
+        if m is None:
+            return None
+        name, ch = m["name"], m["ch"]
+        if ch == "=" or ch == "(" or ch == "\t":  # a complex substructure, or what the match did not take
+            return None
+        if self.tabular:
+            row = self._row_properties(m)
+            if row is None:
+                return None
+            properties, end = row
+        elif m["annotation"] is None:
+            properties, end = EMPTY_PROPERTIES, self.end
+        else:
+            try:
+                properties, end = self._properties(*m.group(*_FAST_KEYS)), m.end("annotation")
+            except ValueError:
+                return None
+        field = Field(_single_spaced(self.name), properties, span=self._span(self.start, end))
+        self.name, self.ch = name, ch if name is None else name[0]
+        self.start, self.end = (m.start("ch") if name is None else m.start("name")), m.end()
+        return field, m["plus"] is not None
+
+    def _row_properties(self, m: re.Match) -> tuple[FieldProperties, int] | None:
+        """The properties in the cells of a row that ``m`` matched, and the
+        end of its last non-blank cell; None where the fast path does not
+        take them."""
+        op, cell, example, extras = m.group("op", "domain", "example", "extras")
+        values = [op, cell and _domain_cell_text(cell), example or None] + [None] * (len(_FAST_KEYS) - 3)
+        if extras:
+            annotation = self.annotation_re.fullmatch(self.text, *m.span("extras"))
+            if annotation is None:
+                return None
+            for i, value in enumerate(annotation.group(*_FAST_KEYS)):
+                if value is not None:
+                    if values[i] is not None:  # the extra properties repeat a cell
+                        return None
+                    values[i] = value
+            end = m.end("extras")
+        elif example:
+            end = m.end("example")
+        elif cell:
+            end = m.end("domain")
+        elif op:
+            end = m.end("op")
+        else:  # every cell is blank
+            return None
+        try:
+            return self._properties(*values, cell=cell), end
+        except ValueError:
+            return None
+
+    def _properties(self, op, domain, example, desc, label, link, required, init, visible, formula, cell=None):
+        """The properties of values the fast path took, in ``_FAST_KEYS``
+        order (None where absent). A bad value raises ``ValueError``."""
+        acquisition = None if op is None else self._acquisition(op)
+        if formula is not None:
+            acquisition = Acquisition(op, parse_formula(_unquote(formula)))
+        return FieldProperties(
+            acquisition,
+            None if domain is None else self._domain(domain, cell),
+            None if example is None else _unquote(example),
+            None if desc is None else _unquote(desc),
+            None if label is None else _unquote(label),
+            None if link is None else _unquote(link),
+            None if required is None else required == "true",
+            None if init is None else parse_formula(_unquote(init)),
+            None if visible is None else visible == "true",
+        )
+
+    def _acquisition(self, op: str) -> Acquisition:
+        acquisition = self.acquisitions.get(op)
+        if acquisition is None:
+            acquisition = self.acquisitions[op] = Acquisition(op)
+        return acquisition
+
+    def _domain(self, text: str, cell: str | None) -> Domain:
+        domain = self.domains.get((text, cell))
+        if domain is None:
+            domain = self.domains[text, cell] = _domain_from_text(text, cell)
+        return domain
 
     def _fail(self, code: str, message: str, start: int, end: int | None = None) -> NoReturn:
         raise _error(code, message, self._span(start, start if end is None else end))
@@ -236,7 +367,7 @@ class _Parser:
                 self._fail("P007", f"unexpected end of input, expected {context}", start)
             self._fail("P007", f"unexpected character {self.ch!r}, expected {context}", start)
         self._next()
-        return _WS_RE.sub(" ", name), start, end
+        return _single_spaced(name), start, end
 
     # -- grammar ---------------------------------------------------------------
 
@@ -273,7 +404,13 @@ class _Parser:
                 # Nothing where a substructure is required: at list start,
                 # or right after a '+' separator.
                 self._fail("P003", "empty substructure list", self.start)
-            items.append(self._parse_element())
+            fast = self._fast_field() if self.name is not None else None
+            if fast is None:
+                items.append(self._parse_element())
+            else:
+                items.append(fast[0])
+                if fast[1]:
+                    continue
             if self.ch != "+":
                 return items
             self._next()
@@ -288,7 +425,8 @@ class _Parser:
             properties, end = None, self.end
             if owner:
                 self.cells = owner.end() - 1
-                properties, end = self._read_cells(self.cells, end)
+                row = self.row_re.match(self.text, self.cells)
+                properties, end = (row and self._row_properties(row)) or self._read_cells(self.cells, end)
             name, start, _ = self._read_name("a substructure")
             if properties is None and self.ch == "(":
                 entries: _Entries = {}
@@ -353,13 +491,9 @@ class _Parser:
         for column, value, start, end in self._cells(tab):
             if column == 0:
                 entries["op"] = (value, start, end)
-            elif column == 1:  # a bare Type is a reference, [a|b] an enumeration
+            elif column == 1:
                 domain_cell = value
-                if value.startswith("[") and value.endswith("]"):
-                    value = "enum:" + value[1:-1].strip()
-                elif value not in BASIC_DOMAIN_KINDS and not value.startswith(("ref:", "enum:")):
-                    value = "ref:" + value
-                entries["domain"] = (value, start, end)
+                entries["domain"] = (_domain_cell_text(value), start, end)
             elif column == 2:
                 bad = _EXAMPLE_RE.match(value).end()
                 if bad < len(value):
@@ -425,11 +559,11 @@ class _Parser:
         for key, (value, start, end) in entries.items():
             try:
                 if key == "op":
-                    acquisition = Acquisition(value)
+                    acquisition = self._acquisition(value)
                 elif key == "formula":
                     formula = parse_formula(value)
                 elif key == "domain":
-                    kwargs["domain"] = _domain_from_text(value, domain_cell)
+                    kwargs["domain"] = self._domain(value, domain_cell)
                 elif key == "example":
                     kwargs["example"] = value
                 elif key == "desc":
@@ -456,6 +590,25 @@ class _Parser:
             except ValueError as exc:
                 self._fail("P005", str(exc), *entries["formula"][1:])
         return FieldProperties(acquisition=acquisition, **kwargs)
+
+
+def _domain_cell_text(cell: str) -> str:
+    """The annotation text of a DOMAIN cell: a bare Type is a reference,
+    [a|b] an enumeration."""
+    if cell.startswith("[") and cell.endswith("]"):
+        return "enum:" + cell[1:-1].strip()
+    if cell not in BASIC_DOMAIN_KINDS and not cell.startswith(("ref:", "enum:")):
+        return "ref:" + cell
+    return cell
+
+
+def _single_spaced(name: str) -> str:
+    """A name with one space for each run of blanks between its words."""
+    return _WS_RE.sub(" ", name) if "  " in name or "\t" in name else name
+
+
+def _unquote(value: str) -> str:
+    return _UNESCAPE_RE.sub(_unescape, value) if "\\" in value else value
 
 
 def _parse_bool(value: str) -> bool:
