@@ -125,9 +125,46 @@ def _load_config(path: str | None) -> LintConfig:
 
 
 def _dump_json(obj: object) -> None:
+    print(_json_text(obj))
+
+
+def _json_text(obj: object) -> str:
+    """``json.dumps(obj, indent=2, ensure_ascii=False)`` for dicts with
+    string keys, lists, tuples and scalars, written from an explicit stack: the
+    indenting encoder in ``json`` recurses once per level and runs out of
+    frames on a structure ``MAX_NESTING`` deep."""
     import json
 
-    print(json.dumps(obj, indent=2, ensure_ascii=False))
+    scalar = json.JSONEncoder(ensure_ascii=False).encode
+    out: list[str] = []
+    # One entry per open container: its items left, its closer, whether it
+    # is a dict, and whether an item was written.
+    stack: list[list] = []
+    end = object()
+    value = obj
+    while True:
+        if isinstance(value, (dict, list, tuple)) and value:
+            is_dict = isinstance(value, dict)
+            out.append("{" if is_dict else "[")
+            stack.append([iter(value.items() if is_dict else value), "}" if is_dict else "]", is_dict, False])
+        else:
+            out.append("{}" if isinstance(value, dict) else "[]" if isinstance(value, (list, tuple)) else scalar(value))
+        while stack:
+            open_ = stack[-1]
+            item = next(open_[0], end)
+            if item is not end:
+                break
+            stack.pop()
+            out.append("\n" + "  " * len(stack) + open_[1])
+        else:
+            return "".join(out)
+        out.append(("," if open_[3] else "") + "\n" + "  " * len(stack))
+        open_[3] = True
+        if open_[2]:
+            key, value = item
+            out.append(scalar(key) + ": ")
+        else:
+            value = item
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +275,7 @@ def _cmd_derive(args: argparse.Namespace) -> int:
         found += guideline_checks(event.structure, Phase.DESIGN_MEMORY, config)
         errors = [d for d in found if d.severity is Severity.ERROR]
         if errors:
-            _emit_diagnostics(errors, f"event {event.id}")
+            _emit_diagnostics(errors, event.file)
             blocking.extend(errors)
     if blocking and not args.force:
         print(
@@ -248,10 +285,18 @@ def _cmd_derive(args: argparse.Namespace) -> int:
         )
         return 1
 
+    views = []
+    for event in events:
+        try:
+            views.append(derive_view(event))
+        except DerivationError as exc:
+            # D001 and D002 point into the event's .ms file; D004 has no span.
+            where = event.file if exc.diagnostic.span is not None else args.events
+            _emit_diagnostics([exc.diagnostic], where)
+            return 1
     try:
-        views = [derive_view(event) for event in events]
         diagram = integrate(views)
-    except DerivationError as exc:
+    except DerivationError as exc:  # D003 and D004 have no span
         _emit_diagnostics([exc.diagnostic], args.events)
         return 1
     sys.stdout.write(export_diagram(diagram, args.format))

@@ -33,7 +33,7 @@ Errors:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 from .core import (
@@ -87,12 +87,15 @@ class CommunicativeEvent:
     """A business-process activity feeding new information to the system.
 
     ``order`` ranks events by temporal precedence; ties break on ``id``.
+    ``file`` names the structure's source, where it has one; events compare
+    without it.
     """
 
     id: str
     name: str
     order: int
     structure: MessageStructure
+    file: str | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if self.order < 0:
@@ -487,7 +490,7 @@ def load_events_manifest(path: str | Path) -> list[CommunicativeEvent]:
             raise ValueError(f"cannot read {ms_path}: {exc}") from None
         except ParseError as exc:
             raise _ManifestParseError(str(ms_path), exc) from None
-        events.append(CommunicativeEvent(event_id, name, order, structure))
+        events.append(CommunicativeEvent(event_id, name, order, structure, str(ms_path)))
     events.sort(key=lambda e: (e.order, e.id))
     return events
 

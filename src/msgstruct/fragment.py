@@ -83,6 +83,9 @@ class _FragmentBuilder:
         self.fields: list[Field] = []
         self.discriminators: list[str] = []
         self.used_labels: set[str] = set()
+        # For each base label, the suffix its next probe starts at (1 for
+        # the bare base): every label it skipped is used for good.
+        self.next_suffix: dict[str, int] = {}
 
     def freeze(self) -> Fragment:
         return Fragment(
@@ -125,11 +128,14 @@ def _iteration_label(node: Iteration, parent: _FragmentBuilder) -> str:
     base = node.name or node.children[0].name
     if base is None:
         base = f"it{len(parent.used_labels) + 1}"
-    label = base
-    k = 2
+    # The first unused of base, base-2, base-3, ...; the probe resumes
+    # where the last one for this base stopped, so labels take linear time.
+    k = parent.next_suffix.get(base, 1)
+    label = base if k == 1 else f"{base}-{k}"
     while label in parent.used_labels:
-        label = f"{base}-{k}"
         k += 1
+        label = f"{base}-{k}"
+    parent.next_suffix[base] = k + 1
     parent.used_labels.add(label)
     return label
 

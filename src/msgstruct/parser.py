@@ -97,8 +97,8 @@ def _name(gap: str) -> str:
 
 
 def _scanner(tabular: bool) -> tuple[re.Pattern, ...]:
-    """The token and annotation-entry patterns of one layout, and those of
-    the fast path: an annotation, a tabular row's cells, and a field.
+    """The token and annotation-entry patterns of one layout, and the fast
+    path's annotation and field patterns.
 
     Blank space and '#' comments come before every token. A comment runs to
     the end of its line; the lookahead keeps a backtracking match from
@@ -142,25 +142,26 @@ def _scanner(tabular: bool) -> tuple[re.Pattern, ...]:
     )
     annotation = rf"\({b}*(?!\)){entries}\)"
     if tabular:
-        # A row's cells after the structure cell: OP, DOMAIN and the extra
-        # properties stripped, EXAMPLE VALUE verbatim with '"' and '\\'
-        # escaped, and no fifth cell.
+        # A field's row: a '+' if any, then any other separators and closers
+        # (``tail``), the tab that ends the structure cell, and the cells:
+        # OP, DOMAIN and the extra properties stripped, EXAMPLE VALUE
+        # verbatim with '"' and '\\' escaped, and no fifth cell. Then the
+        # token after the row.
         cell = r" *(?P<{}>[^\s](?:[^\t\n]*[^\s])?)? *"
-        row = (
-            r"\t *(?P<op>[igd])? *(?:\t" + cell.format("domain")
-            + r'(?:\t(?P<example>[^\t\n"\\]*(?:\\[^\t\n][^\t\n"\\]*)*)(?:\t' + cell.format("extras") + r")?)?)?(?=\n|\Z)"
+        field = (
+            r" *(?:(?P<plus>\+) *)?(?P<tail>[+|>}\]][ +|>}\]]*)?\t *(?P<op>[igd])? *(?:\t" + cell.format("domain")
+            + r'(?:\t(?P<example>[^\t\n"\\]*(?:\\[^\t\n][^\t\n"\\]*)*)(?:\t' + cell.format("extras")
+            + rf")?)?)?(?=\n|\Z){token}"
         )
-        # A field: a '+' if any, its row's cells, and the token after them.
-        field = rf" *(?:(?P<plus>\+) *)?{row}{token}"
     else:
-        row = "$^"
-        # A field: its annotation if any, a '+' if any, and the token after.
+        # A field's annotation if any, a '+' if any, and the token after.
         field = rf"(?:{b}*(?P<annotation>{annotation}))?(?:{ws}(?P<plus>\+))?{token}"
-    return tuple(map(re.compile, (token, entry, annotation, row, field)))
+    return tuple(map(re.compile, (token, entry, annotation, field)))
 
 
 # The property keys in the order ``FieldProperties.to_mapping`` gives them.
 _FAST_KEYS = ("op", "domain", "example", "desc", "label", "link", "required", "init", "visible", "formula")
+_ABSENT = (None,) * (len(_FAST_KEYS) - 3)  # no property after op, domain and example
 _SCANNERS = (_scanner(tabular=False), _scanner(tabular=True))
 _WS_RE = re.compile(r"[ \t\n]+")
 # What may stand between a tabular field's name and the tab that ends its
@@ -229,7 +230,7 @@ class _Parser:
         row = next((i for i, ln in enumerate(lines) if ln.strip() and not ln.lstrip().startswith("#")), 0)
         head = lines[row].split("\t")
         self.tabular = len(head) > 1 and head[0].strip() == _TAB_HEADER[0]
-        self.token_re, self.entry_re, self.annotation_re, self.row_re, self.field_re = _SCANNERS[self.tabular]
+        self.token_re, self.entry_re, self.annotation_re, self.field_re = _SCANNERS[self.tabular]
         self.depth = 0
         self.cells = -1
         # Immutable values built once per parse: acquisitions by op, and
@@ -271,48 +272,55 @@ class _Parser:
         return SourceSpan(line, col, end_line, max(1, end_col - 1))
 
     def _fast_field(self) -> tuple[Field, bool] | None:
-        """The field at the current name and the token after it, read in
-        one match with the field's annotation or row and a '+' after it, if
-        any; and whether there was a '+'. None where the fast path does not
-        take the field, which the entry loop then reads."""
+        """The field at the current name, read in one match with its
+        annotation or row, a '+' after it if any, and the token after them;
+        and whether there was a '+'. None where the fast path does not take
+        the field, which the entry loop then reads. A tabular row's other
+        separators and closers are scanned as tokens, as there."""
         m = self.field_re.match(self.text, self.end)
         if m is None:
             return None
-        name, ch = m["name"], m["ch"]
-        if ch == "=" or ch == "(" or ch == "\t":  # a complex substructure, or what the match did not take
-            return None
         if self.tabular:
-            row = self._row_properties(m)
-            if row is None:
-                return None
-            properties, end = row
-        elif m["annotation"] is None:
-            properties, end = EMPTY_PROPERTIES, self.end
+            plus, tail, *cells, name, ch = m.groups()
         else:
-            try:
-                properties, end = self._properties(*m.group(*_FAST_KEYS)), m.end("annotation")
-            except ValueError:
-                return None
-        field = Field(_single_spaced(self.name), properties, span=self._span(self.start, end))
+            annotation, *values, plus, name, ch = m.groups()
+            tail = None
+        if tail is None and (ch == "=" or ch == "(" or ch == "\t"):  # a complex substructure, or what the match did not take
+            return None
+        try:
+            if self.tabular:
+                row = self._row_properties(m, *cells)
+                if row is None:
+                    return None
+                properties, end = row
+            elif annotation is None:
+                properties, end = EMPTY_PROPERTIES, self.end
+            else:
+                properties, end = self._properties(*values), m.end("annotation")
+        except ValueError:
+            return None
+        field = Field(_single_spaced(self.name), properties, self._span(self.start, end))
+        if tail is not None:
+            self.cells = m.end("tail")
+            self._next()
+            return field, False
         self.name, self.ch = name, ch if name is None else name[0]
-        self.start, self.end = (m.start("ch") if name is None else m.start("name")), m.end()
-        return field, m["plus"] is not None
+        self.start, self.end = m.start(m.lastindex), m.end()
+        return field, plus is not None
 
-    def _row_properties(self, m: re.Match) -> tuple[FieldProperties, int] | None:
+    def _row_properties(self, m: re.Match, op, cell, example, extras) -> tuple[FieldProperties, int] | None:
         """The properties in the cells of a row that ``m`` matched, and the
         end of its last non-blank cell; None where the fast path does not
-        take them."""
-        op, cell, example, extras = m.group("op", "domain", "example", "extras")
-        values = [op, cell and _domain_cell_text(cell), example or None] + [None] * (len(_FAST_KEYS) - 3)
+        take them. A bad value raises ``ValueError``."""
+        domain, example, rest = cell and _domain_cell_text(cell), example or None, _ABSENT
         if extras:
             annotation = self.annotation_re.fullmatch(self.text, *m.span("extras"))
             if annotation is None:
                 return None
-            for i, value in enumerate(annotation.group(*_FAST_KEYS)):
-                if value is not None:
-                    if values[i] is not None:  # the extra properties repeat a cell
-                        return None
-                    values[i] = value
+            extra_op, extra_domain, extra_example, *rest = annotation.groups()
+            if op and extra_op or cell and extra_domain or example and extra_example is not None:
+                return None  # the extra properties repeat a cell
+            op, domain, example = op or extra_op, domain or extra_domain, example or extra_example
             end = m.end("extras")
         elif example:
             end = m.end("example")
@@ -322,10 +330,7 @@ class _Parser:
             end = m.end("op")
         else:  # every cell is blank
             return None
-        try:
-            return self._properties(*values, cell=cell), end
-        except ValueError:
-            return None
+        return self._properties(op, domain, example, *rest, cell), end
 
     def _properties(self, op, domain, example, desc, label, link, required, init, visible, formula, cell=None):
         """The properties of values the fast path took, in ``_FAST_KEYS``
@@ -425,8 +430,7 @@ class _Parser:
             properties, end = None, self.end
             if owner:
                 self.cells = owner.end() - 1
-                row = self.row_re.match(self.text, self.cells)
-                properties, end = (row and self._row_properties(row)) or self._read_cells(self.cells, end)
+                properties, end = self._read_cells(self.cells, end)
             name, start, _ = self._read_name("a substructure")
             if properties is None and self.ch == "(":
                 entries: _Entries = {}

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 
@@ -122,6 +123,45 @@ def test_every_command_runs_on_the_deepest_structure(tmp_path, capsys, opener, c
         out, err = capsys.readouterr()
         assert "P0" not in err, argv
     assert cli.main(["equiv", deep, deep]) == 0
+
+
+def test_json_output_is_that_of_json_dumps(corpus_dir):
+    """``parse``, ``check`` and ``fragment`` print ``--json`` byte for byte as
+    ``json.dumps(obj, indent=2, ensure_ascii=False)`` did."""
+    from msgstruct.cli import _json_text
+    from msgstruct.fragment import fragment_1nf, fragments_to_json_obj
+    from msgstruct.lint import Phase, guideline_checks, lint
+    from msgstruct.parser import ParseError, parse, structure_to_json_obj
+
+    objs = []
+    for path in sorted(corpus_dir.glob("*.ms")):
+        try:
+            ms = parse(path.read_text(encoding="utf-8"))
+        except ParseError as exc:
+            objs.append([d.to_json_obj() for d in exc.diagnostics])
+            continue
+        objs += [structure_to_json_obj(ms), fragments_to_json_obj(fragment_1nf(ms))]
+        for phase in Phase:
+            found = lint(ms, phase) + guideline_checks(ms, phase)
+            objs.append({"file": str(path), "phase": phase.value, "diagnostics": [d.to_json_obj() for d in found]})
+    assert len(objs) > 30
+    for obj in objs:
+        assert _json_text(obj) == json.dumps(obj, indent=2, ensure_ascii=False)
+
+
+@pytest.mark.parametrize("opener, closer", [("<", ">"), ("{", "}"), ("[", "]")])
+def test_parse_json_runs_on_the_deepest_structure_in_812_frames(tmp_path, opener, closer):
+    from msgstruct.parser import MAX_NESTING
+
+    depth = MAX_NESTING - 1  # inside the root aggregation
+    (tmp_path / "deep.ms").write_text("M=<" + opener * depth + "x" + closer * depth + ">\n", encoding="utf-8")
+    code = "import sys; sys.setrecursionlimit(812); from msgstruct.cli import main; sys.exit(main(sys.argv[1:]))"
+    result = subprocess.run(
+        [sys.executable, "-c", code, "parse", "--json", "deep.ms"],
+        capture_output=True, text=True, cwd=tmp_path, env=cli_env(), timeout=60,
+    )
+    assert result.returncode == 0, result.stderr[-500:]
+    assert result.stdout.count("\n") > 3 * MAX_NESTING
 
 
 def test_canon_prints_the_canonical_form(run_cli, corpus_dir):
@@ -302,6 +342,33 @@ def test_derive_refuses_lint_errors_without_force(run_cli, corpus_dir):
     forced = run_cli("derive", "--events", "bad.json", "--force", cwd=corpus_dir)
     assert forced.returncode == 0
     assert json.loads(forced.stdout)["classes"]
+
+
+def test_derive_names_the_structure_file_of_a_lint_blocker(run_cli, corpus_dir):
+    (corpus_dir / "events").mkdir()
+    (corpus_dir / "events" / "bad_formula.ms").write_text(
+        'A=<Price+Amount (op=d; formula=":Pricee * 2")>\n', encoding="utf-8"
+    )
+    (corpus_dir / "events" / "bad.json").write_text(
+        '[{"id": "E1", "name": "x", "order": 0, "file": "bad_formula.ms"}]\n',
+        encoding="utf-8",
+    )
+    result = run_cli("derive", "--events", "events/bad.json", cwd=corpus_dir)
+    assert result.returncode == 1
+    path = os.path.join("events", "bad_formula.ms")
+    assert result.stderr.startswith(f"{path}:1:10: error: G2: ")
+
+
+def test_derive_names_the_structure_file_of_a_d002(run_cli, corpus_dir):
+    (corpus_dir / "dup.ms").write_text(
+        "A=<x (op=i; domain=text) +\n  x (op=i; domain=text)>\n", encoding="utf-8"
+    )
+    (corpus_dir / "dup.json").write_text(
+        '[{"id": "E1", "name": "x", "order": 0, "file": "dup.ms"}]\n', encoding="utf-8"
+    )
+    result = run_cli("derive", "--events", "dup.json", cwd=corpus_dir)
+    assert result.returncode == 1
+    assert result.stderr == "dup.ms:2:3: error: D002: duplicate attribute 'x' in class 'A'\n"
 
 
 def test_derive_conflicting_domains_exit_1_with_d003(run_cli, corpus_dir):

@@ -96,6 +96,18 @@ def test_sibling_anonymous_iterations_get_distinct_ids():
     assert all(f.parent_key == "A" for f in fragments[1:])
 
 
+def test_same_named_iteration_labels_skip_used_ones():
+    """A repeated name takes the first unused of L, L-2, L-3, ...: a sibling
+    literally named L-2 is skipped, and so is an anonymous itN label that a
+    named sibling already holds."""
+    ms = parse("A=<L={a}+L-2={b}+L={c}+L={d}+it2={e}+{f}+{g}+L={h}>")
+    ids = [f.id.removeprefix("A/") for f in fragment_1nf(ms)[1:]]
+    assert ids == ["L", "L-2", "L-3", "L-4", "it2", "it6", "it7", "L-5"]
+    ms = parse("A=<it2={a}+{b}+{c}+{d}>")
+    ids = [f.id.removeprefix("A/") for f in fragment_1nf(ms)[1:]]
+    assert ids == ["it2", "it2-2", "it3", "it4"]
+
+
 def test_named_iterations_name_the_path():
     ms = parse("A=<LINES={x+INNER={y}}>")
     fragments = fragment_1nf(ms)
