@@ -219,7 +219,13 @@ class _Parser:
 
     The tabular layout is read in place: reading starts after the header
     row, a field reads the cells of its row (``_read_cells``), and ``cells``
-    is the tab before the cells last read, which the token stream skips."""
+    is the tab before the cells last read, which the token stream skips.
+
+    Most fields take a fast path (``_fast_field``): one match reads the
+    name's annotation or row and the token after it. What that match does
+    not take, the token loop and the entry loop read, and they report every
+    diagnostic. Both paths build values through ``core`` and share the
+    memo of acquisitions and domains."""
 
     def __init__(self, text: str):
         self.text = text
@@ -285,8 +291,8 @@ class _Parser:
         else:
             annotation, *values, plus, name, ch = m.groups()
             tail = None
-        if tail is None and (ch == "=" or ch == "(" or ch == "\t"):  # a complex substructure, or what the match did not take
-            return None
+        if tail is None and (ch == "=" or ch == "(" or ch == "\t"):
+            return None  # a complex substructure, or what the match did not take
         try:
             if self.tabular:
                 row = self._row_properties(m, *cells)
@@ -335,12 +341,12 @@ class _Parser:
     def _properties(self, op, domain, example, desc, label, link, required, init, visible, formula, cell=None):
         """The properties of values the fast path took, in ``_FAST_KEYS``
         order (None where absent). A bad value raises ``ValueError``."""
-        acquisition = None if op is None else self._acquisition(op)
+        acquisition = None if op is None else self.acquisitions.get(op) or self._acquisition(op)
         if formula is not None:
             acquisition = Acquisition(op, parse_formula(_unquote(formula)))
         return FieldProperties(
             acquisition,
-            None if domain is None else self._domain(domain, cell),
+            None if domain is None else self.domains.get((domain, cell)) or self._domain(domain, cell),
             None if example is None else _unquote(example),
             None if desc is None else _unquote(desc),
             None if label is None else _unquote(label),
