@@ -47,7 +47,6 @@ from .core import (
     BASIC_DOMAIN_KINDS,
     BinaryOp,
     Call,
-    Domain,
     EMPTY_PROPERTIES,
     Field,
     FieldProperties,
@@ -224,8 +223,7 @@ class _Parser:
     Most fields take a fast path (``_fast_field``): one match reads the
     name's annotation or row and the token after it. What that match does
     not take, the token loop and the entry loop read, and they report every
-    diagnostic. Both paths build values through ``core`` and share the
-    memo of acquisitions and domains."""
+    diagnostic. Both paths build values through the ``core`` constructors."""
 
     def __init__(self, text: str):
         self.text = text
@@ -239,10 +237,6 @@ class _Parser:
         self.token_re, self.entry_re, self.annotation_re, self.field_re = _SCANNERS[self.tabular]
         self.depth = 0
         self.cells = -1
-        # Immutable values built once per parse: acquisitions by op, and
-        # domains by text and cell. A value that raises is not stored.
-        self.acquisitions: dict[str, Acquisition] = {}
-        self.domains: dict[tuple[str, str | None], Domain] = {}
         self.end = self.line_starts[row + 1] if self.tabular else 0
         self._next()
 
@@ -341,12 +335,12 @@ class _Parser:
     def _properties(self, op, domain, example, desc, label, link, required, init, visible, formula, cell=None):
         """The properties of values the fast path took, in ``_FAST_KEYS``
         order (None where absent). A bad value raises ``ValueError``."""
-        acquisition = None if op is None else self.acquisitions.get(op) or self._acquisition(op)
+        acquisition = None if op is None else Acquisition(op)
         if formula is not None:
             acquisition = Acquisition(op, parse_formula(_unquote(formula)))
         return FieldProperties(
             acquisition,
-            None if domain is None else self.domains.get((domain, cell)) or self._domain(domain, cell),
+            None if domain is None else _domain_from_text(domain, cell),
             None if example is None else _unquote(example),
             None if desc is None else _unquote(desc),
             None if label is None else _unquote(label),
@@ -355,18 +349,6 @@ class _Parser:
             None if init is None else parse_formula(_unquote(init)),
             None if visible is None else visible == "true",
         )
-
-    def _acquisition(self, op: str) -> Acquisition:
-        acquisition = self.acquisitions.get(op)
-        if acquisition is None:
-            acquisition = self.acquisitions[op] = Acquisition(op)
-        return acquisition
-
-    def _domain(self, text: str, cell: str | None) -> Domain:
-        domain = self.domains.get((text, cell))
-        if domain is None:
-            domain = self.domains[text, cell] = _domain_from_text(text, cell)
-        return domain
 
     def _fail(self, code: str, message: str, start: int, end: int | None = None) -> NoReturn:
         raise _error(code, message, self._span(start, start if end is None else end))
@@ -569,11 +551,11 @@ class _Parser:
         for key, (value, start, end) in entries.items():
             try:
                 if key == "op":
-                    acquisition = self._acquisition(value)
+                    acquisition = Acquisition(value)
                 elif key == "formula":
                     formula = parse_formula(value)
                 elif key == "domain":
-                    kwargs["domain"] = self._domain(value, domain_cell)
+                    kwargs["domain"] = _domain_from_text(value, domain_cell)
                 elif key == "example":
                     kwargs["example"] = value
                 elif key == "desc":
