@@ -38,6 +38,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from dataclasses import replace
+from functools import cache
 from itertools import accumulate
 from typing import NoReturn
 
@@ -95,9 +96,12 @@ def _name(gap: str) -> str:
     return rf"[A-Za-z][A-Za-z0-9-]*(?:{gap}+[A-Za-z0-9][A-Za-z0-9-]*)*"
 
 
-def _scanner(tabular: bool) -> tuple[re.Pattern, ...]:
+@cache
+def _scanner(tabular: bool) -> tuple[re.Pattern, re.Pattern, re.Pattern, re.Pattern | None]:
     """The token and annotation-entry patterns of one layout, and the fast
-    path's annotation and field patterns.
+    path's field pattern and, for the tabular layout's extras cell, its
+    annotation pattern. They compile on first use, so a call that reads
+    one layout pays for that layout's patterns only.
 
     Blank space and '#' comments come before every token. A comment runs to
     the end of its line; the lookahead keeps a backtracking match from
@@ -122,12 +126,10 @@ def _scanner(tabular: bool) -> tuple[re.Pattern, ...]:
     )
     # The fast path takes a well-formed annotation in one match: no comment,
     # each key at most once and in the order ``to_text`` writes them, op,
-    # domain, required and visible bare and the other values quoted. A
-    # value group holds the value as the entry loop reads it, before
-    # unescaping; a quoted one ends at the first unescaped '"', as there.
+    # domain, required and visible bare and the other values quoted with no
+    # '\\' in them. A value group holds the value as the entry loop reads it.
     # In the tabular layout the annotation lies in one cell.
     b = "[ ]" if tabular else r"[ \t\n]"
-    quoted = rf'[^"\\\n{stop}]*(?:\\{escaped}[^"\\\n{stop}]*)*'
     value = {
         "op": "[igd]",
         "domain": rf"[^;)\s\"#](?:[^;)\n{stop}]*[^;)\s])?",
@@ -135,7 +137,7 @@ def _scanner(tabular: bool) -> tuple[re.Pattern, ...]:
         "visible": "true|false",
     }
     entries = "".join(
-        rf"(?:{key}{b}*={b}*" + (f"(?P<{key}>{value[key]})" if key in value else f'"(?P<{key}>{quoted})"')
+        rf"(?:{key}{b}*={b}*" + (f"(?P<{key}>{value[key]})" if key in value else rf'"(?P<{key}>[^"\\\n{stop}]*)"')
         + rf"{b}*(?:;{b}*|(?=\))))?"
         for key in _FAST_KEYS
     )
@@ -144,24 +146,23 @@ def _scanner(tabular: bool) -> tuple[re.Pattern, ...]:
         # A field's row: a '+' if any, then any other separators and closers
         # (``tail``), the tab that ends the structure cell, and the cells:
         # OP, DOMAIN and the extra properties stripped, EXAMPLE VALUE
-        # verbatim with '"' and '\\' escaped, and no fifth cell. Then the
-        # token after the row.
+        # verbatim with no '"' or '\\', and no fifth cell. Then the token
+        # after the row.
         cell = r" *(?P<{}>[^\s](?:[^\t\n]*[^\s])?)? *"
         field = (
             r" *(?:(?P<plus>\+) *)?(?P<tail>[+|>}\]][ +|>}\]]*)?\t *(?P<op>[igd])? *(?:\t" + cell.format("domain")
-            + r'(?:\t(?P<example>[^\t\n"\\]*(?:\\[^\t\n][^\t\n"\\]*)*)(?:\t' + cell.format("extras")
+            + r'(?:\t(?P<example>[^\t\n"\\]*)(?:\t' + cell.format("extras")
             + rf")?)?)?(?=\n|\Z){token}"
         )
     else:
         # A field's annotation if any, a '+' if any, and the token after.
         field = rf"(?:{b}*(?P<annotation>{annotation}))?(?:{ws}(?P<plus>\+))?{token}"
-    return tuple(map(re.compile, (token, entry, annotation, field)))
+    return re.compile(token), re.compile(entry), re.compile(field), re.compile(annotation) if tabular else None
 
 
 # The property keys in the order ``FieldProperties.to_mapping`` gives them.
 _FAST_KEYS = ("op", "domain", "example", "desc", "label", "link", "required", "init", "visible", "formula")
 _ABSENT = (None,) * (len(_FAST_KEYS) - 3)  # no property after op, domain and example
-_SCANNERS = (_scanner(tabular=False), _scanner(tabular=True))
 _WS_RE = re.compile(r"[ \t\n]+")
 # What may stand between a tabular field's name and the tab that ends its
 # structure cell: blanks, separators and closers.
@@ -234,7 +235,7 @@ class _Parser:
         row = next((i for i, ln in enumerate(lines) if ln.strip() and not ln.lstrip().startswith("#")), 0)
         head = lines[row].split("\t")
         self.tabular = len(head) > 1 and head[0].strip() == _TAB_HEADER[0]
-        self.token_re, self.entry_re, self.annotation_re, self.field_re = _SCANNERS[self.tabular]
+        self.token_re, self.entry_re, self.field_re, self.annotation_re = _scanner(self.tabular)
         self.depth = 0
         self.cells = -1
         self.end = self.line_starts[row + 1] if self.tabular else 0
@@ -337,16 +338,16 @@ class _Parser:
         order (None where absent). A bad value raises ``ValueError``."""
         acquisition = None if op is None else Acquisition(op)
         if formula is not None:
-            acquisition = Acquisition(op, parse_formula(_unquote(formula)))
+            acquisition = Acquisition(op, parse_formula(formula))
         return FieldProperties(
             acquisition,
             None if domain is None else _domain_from_text(domain, cell),
-            None if example is None else _unquote(example),
-            None if desc is None else _unquote(desc),
-            None if label is None else _unquote(label),
-            None if link is None else _unquote(link),
+            example,
+            desc,
+            label,
+            link,
             None if required is None else required == "true",
-            None if init is None else parse_formula(_unquote(init)),
+            None if init is None else parse_formula(init),
             None if visible is None else visible == "true",
         )
 
@@ -597,10 +598,6 @@ def _domain_cell_text(cell: str) -> str:
 def _single_spaced(name: str) -> str:
     """A name with one space for each run of blanks between its words."""
     return _WS_RE.sub(" ", name) if "  " in name or "\t" in name else name
-
-
-def _unquote(value: str) -> str:
-    return _UNESCAPE_RE.sub(_unescape, value) if "\\" in value else value
 
 
 def _parse_bool(value: str) -> bool:
