@@ -297,7 +297,7 @@ class _Parser:
             elif annotation is None:
                 properties, end = EMPTY_PROPERTIES, self.end
             else:
-                properties, end = self._properties(*values), m.end("annotation")
+                properties, end = _properties(*values), m.end("annotation")
         except ValueError:
             return None
         field = Field(_single_spaced(self.name), properties, self._span(self.start, end))
@@ -331,25 +331,7 @@ class _Parser:
             end = m.end("op")
         else:  # every cell is blank
             return None
-        return self._properties(op, domain, example, *rest, cell), end
-
-    def _properties(self, op, domain, example, desc, label, link, required, init, visible, formula, cell=None):
-        """The properties of values the fast path took, in ``_FAST_KEYS``
-        order (None where absent). A bad value raises ``ValueError``."""
-        acquisition = None if op is None else Acquisition(op)
-        if formula is not None:
-            acquisition = Acquisition(op, parse_formula(formula))
-        return FieldProperties(
-            acquisition,
-            None if domain is None else _domain_from_text(domain, cell),
-            example,
-            desc,
-            label,
-            link,
-            None if required is None else required == "true",
-            None if init is None else parse_formula(init),
-            None if visible is None else visible == "true",
-        )
+        return _properties(op, domain, example, *rest, cell), end
 
     def _fail(self, code: str, message: str, start: int, end: int | None = None) -> NoReturn:
         raise _error(code, message, self._span(start, start if end is None else end))
@@ -583,6 +565,25 @@ class _Parser:
             except ValueError as exc:
                 self._fail("P005", str(exc), *entries["formula"][1:])
         return FieldProperties(acquisition=acquisition, **kwargs)
+
+
+def _properties(op, domain, example, desc, label, link, required, init, visible, formula, cell=None):
+    """The properties of values the fast path took, in ``_FAST_KEYS`` order
+    (None where absent). A bad value raises ``ValueError``."""
+    acquisition = None if op is None else Acquisition(op)
+    if formula is not None:
+        acquisition = Acquisition(op, parse_formula(formula))
+    return FieldProperties(
+        acquisition,
+        None if domain is None else _domain_from_text(domain, cell),
+        example,
+        desc,
+        label,
+        link,
+        None if required is None else required == "true",
+        None if init is None else parse_formula(init),
+        None if visible is None else visible == "true",
+    )
 
 
 def _domain_cell_text(cell: str) -> str:
