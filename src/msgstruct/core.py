@@ -29,10 +29,6 @@ MEMORY_LINK_RE = re.compile(
 BASIC_DOMAIN_KINDS = ("text", "number", "money", "date", "time")
 
 
-def is_identifier(name: str) -> bool:
-    return IDENTIFIER_RE.fullmatch(name) is not None
-
-
 # ---------------------------------------------------------------------------
 # Formulas (derivation and initialisation expressions)
 # ---------------------------------------------------------------------------
@@ -328,7 +324,7 @@ class Field(_Node):
     span: SourceSpan | None = None
 
     def __post_init__(self) -> None:
-        if not is_identifier(self.name):
+        if not IDENTIFIER_RE.fullmatch(self.name):
             raise ValueError(f"invalid field name {self.name!r}")
 
 
@@ -366,7 +362,7 @@ class Specialisation(_Node):
     span: SourceSpan | None = None
 
     def __post_init__(self) -> None:
-        if self.name is not None and not is_identifier(self.name):
+        if self.name is not None and not IDENTIFIER_RE.fullmatch(self.name):
             raise ValueError(f"invalid substructure name {self.name!r}")
         if not self.variants:
             raise ValueError("specialisation needs at least one variant")
@@ -376,29 +372,31 @@ class Specialisation(_Node):
 
 
 def _check_complex(name: str | None, children: tuple) -> None:
-    if name is not None and not is_identifier(name):
+    if name is not None and not IDENTIFIER_RE.fullmatch(name):
         raise ValueError(f"invalid substructure name {name!r}")
     if not children:
         raise ValueError("complex substructure needs at least one child")
 
 
-Complex = Union[Aggregation, Iteration, Specialisation]
 Substructure = Union[Field, Aggregation, Iteration, Specialisation]
 
 
 @dataclass(frozen=True, eq=False, slots=True)
 class MessageStructure(_Node):
     """Named root of the tree. The initial substructure is an aggregation or
-    an iteration (a specialisation root is rejected by the parser and, for
-    programmatically built trees, reported by the guideline checks)."""
+    an iteration; any other root raises ``ValueError``, which the parser
+    reports as P004."""
 
     name: str
-    root: Complex
+    root: Aggregation | Iteration
     span: SourceSpan | None = None
 
     def __post_init__(self) -> None:
-        if not is_identifier(self.name):
+        if not IDENTIFIER_RE.fullmatch(self.name):
             raise ValueError(f"invalid structure name {self.name!r}")
+        if not isinstance(self.root, (Aggregation, Iteration)):
+            kind = type(self.root).__name__.lower()
+            raise ValueError(f"a {kind} cannot be the initial substructure")
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,9 @@ The guideline checks catch method smells the matrix cannot express:
     G1  field name suggests a derivable total (analysis only, wordlist)
     G2  a formula references a field that does not exist in the structure
     G3  an enumerated field domain duplicates a sibling specialisation
-    G4  the initial substructure is not an aggregation or iteration
-        (programmatically built trees only; the parser rejects this)
+
+The initial substructure is an aggregation or an iteration by construction:
+``MessageStructure`` rejects any other root.
 """
 
 from __future__ import annotations
@@ -23,10 +24,8 @@ from enum import Enum
 from typing import TYPE_CHECKING
 
 from .core import (
-    Aggregation,
     EnumeratedDomain,
     Field,
-    Iteration,
     MessageStructure,
     Specialisation,
     Substructure,
@@ -279,18 +278,8 @@ def guideline_checks(
     phase: Phase,
     config: LintConfig = DEFAULT_CONFIG,
 ) -> list[Diagnostic]:
-    """Methodological checks G1-G4 (see module docstring)."""
+    """Methodological checks G1-G3 (see module docstring)."""
     out: list[Diagnostic] = []
-    if not isinstance(ms.root, (Aggregation, Iteration)):
-        out.append(
-            Diagnostic(
-                Severity.ERROR,
-                "G4",
-                "the initial substructure must be an aggregation or an iteration",
-                ms.root.span or ms.span,
-            )
-        )
-
     # One walk: the fields feed G1 and G2, which need every field name
     # first; G3 is decided per sibling list on the way and reported last.
     fields: list[Field] = []

@@ -59,7 +59,6 @@ from .core import (
     Specialisation,
     Substructure,
     Text,
-    _check_link,
     _domain_from_text,
     _fold,
     _traverse,
@@ -160,7 +159,8 @@ def _scanner(tabular: bool) -> tuple[re.Pattern, re.Pattern, re.Pattern, re.Patt
     return re.compile(token), re.compile(entry), re.compile(field), re.compile(annotation) if tabular else None
 
 
-# The property keys in the order ``FieldProperties.to_mapping`` gives them.
+# The property keys, named as ``_properties`` takes them, in the order
+# ``FieldProperties.to_mapping`` gives them.
 _FAST_KEYS = ("op", "domain", "example", "desc", "label", "link", "required", "init", "visible", "formula")
 _ABSENT = (None,) * (len(_FAST_KEYS) - 3)  # no property after op, domain and example
 _WS_RE = re.compile(r"[ \t\n]+")
@@ -224,7 +224,7 @@ class _Parser:
     Most fields take a fast path (``_fast_field``): one match reads the
     name's annotation or row and the token after it. What that match does
     not take, the token loop and the entry loop read, and they report every
-    diagnostic. Both paths build values through the ``core`` constructors."""
+    diagnostic. Both paths build properties with ``_properties``."""
 
     def __init__(self, text: str):
         self.text = text
@@ -357,21 +357,17 @@ class _Parser:
             if self.ch in _CLOSERS:
                 self._fail("P001", f"unbalanced bracket: stray {self.ch!r}", self.start)
             self._fail("P007", f"unexpected trailing input {self.ch!r}", self.start)
-        end = items[-1].span
-        span = SourceSpan(*self._loc(start), end.end_line, end.end_col)
-        return MessageStructure(name, self._resolve_root(items), span=span)
-
-    def _resolve_root(self, items: list[Substructure]) -> Aggregation | Iteration:
-        if len(items) == 1:
-            only = items[0]
-            if isinstance(only, (Aggregation, Iteration)) and only.name is None:
-                return only
-            if isinstance(only, Specialisation) and only.name is None:
-                raise _error("P004", "a specialisation cannot be the initial substructure", only.span)
-        # Unbracketed top level: the initial aggregation is left implicit.
-        first, last = items[0].span, items[-1].span
-        span = SourceSpan(first.start_line, first.start_col, last.end_line, last.end_col)
-        return Aggregation(None, tuple(items), span=span)
+        root, last = items[0], items[-1].span
+        if len(items) > 1 or root.name is not None:
+            # Unbracketed top level: the initial aggregation is left implicit.
+            first = root.span
+            span = SourceSpan(first.start_line, first.start_col, last.end_line, last.end_col)
+            root = Aggregation(None, tuple(items), span=span)
+        span = SourceSpan(*self._loc(start), last.end_line, last.end_col)
+        try:
+            return MessageStructure(name, root, span=span)
+        except ValueError as exc:  # the root is an anonymous specialisation
+            raise _error("P004", str(exc), root.span) from None
 
     def _parse_list(self) -> list[Substructure]:
         items: list[Substructure] = []
@@ -524,52 +520,34 @@ class _Parser:
         return pos
 
     def _build_properties(self, entries: _Entries, domain_cell: str | None = None) -> FieldProperties:
-        """Turn the entries into field properties. The rules on each value
-        are those of the ``core`` constructors; a ``ValueError`` from one is
-        reported at its entry. Domain errors quote ``domain_cell``, a
-        tabular DOMAIN cell as written, when there is one."""
-        acquisition: Acquisition | None = None
-        formula: Formula | None = None
-        kwargs: dict = {}
+        """Turn the entries into field properties through ``_properties``.
+        Each entry is read alone first, in the order written, so that a
+        ``ValueError`` from a ``core`` constructor is reported at its own
+        entry. Domain errors quote ``domain_cell``, a tabular DOMAIN cell as
+        written, when there is one."""
         for key, (value, start, end) in entries.items():
+            if key not in _FAST_KEYS:
+                self._fail("P005", f"unknown property key {key!r}", start, end)
             try:
-                if key == "op":
-                    acquisition = Acquisition(value)
-                elif key == "formula":
-                    formula = parse_formula(value)
-                elif key == "domain":
-                    kwargs["domain"] = _domain_from_text(value, domain_cell)
-                elif key == "example":
-                    kwargs["example"] = value
-                elif key == "desc":
-                    kwargs["description"] = value
-                elif key == "label":
-                    kwargs["label"] = value
-                elif key == "link":
-                    _check_link(value)
-                    kwargs["memory_link"] = value
-                elif key == "required":
-                    kwargs["compulsory"] = _parse_bool(value)
-                elif key == "visible":
-                    kwargs["visible"] = _parse_bool(value)
-                elif key == "init":
-                    kwargs["initialisation"] = parse_formula(value)
-                else:
-                    self._fail("P005", f"unknown property key {key!r}", start, end)
+                # A formula alone is read with op=d: that it needs op=d is
+                # the one rule that spans entries, checked on them all below.
+                _properties(**{"op": "d", key: value} if key == "formula" else {key: value}, cell=domain_cell)
             except ValueError as exc:
                 message = f"bad formula: {exc}" if key in ("formula", "init") else str(exc)
                 self._fail("P006" if key == "op" else "P005", message, start, end)
-        if formula is not None:
-            try:
-                acquisition = Acquisition(acquisition and acquisition.op, formula)
-            except ValueError as exc:
-                self._fail("P005", str(exc), *entries["formula"][1:])
-        return FieldProperties(acquisition=acquisition, **kwargs)
+        try:
+            return _properties(**{key: value for key, (value, _, _) in entries.items()}, cell=domain_cell)
+        except ValueError as exc:
+            self._fail("P005", str(exc), *entries["formula"][1:])
 
 
-def _properties(op, domain, example, desc, label, link, required, init, visible, formula, cell=None):
-    """The properties of values the fast path took, in ``_FAST_KEYS`` order
-    (None where absent). A bad value raises ``ValueError``."""
+def _properties(
+    op=None, domain=None, example=None, desc=None, label=None, link=None, required=None, init=None,
+    visible=None, formula=None, cell=None,
+) -> FieldProperties:
+    """The properties of the values given, by ``_FAST_KEYS`` name; domain
+    errors quote ``cell``. A bad value raises ``ValueError`` from its rule's
+    owner: a ``core`` constructor, ``parse_formula`` or ``_parse_bool``."""
     acquisition = None if op is None else Acquisition(op)
     if formula is not None:
         acquisition = Acquisition(op, parse_formula(formula))
@@ -580,9 +558,9 @@ def _properties(op, domain, example, desc, label, link, required, init, visible,
         desc,
         label,
         link,
-        None if required is None else required == "true",
+        None if required is None else _parse_bool(required),
         None if init is None else parse_formula(init),
-        None if visible is None else visible == "true",
+        None if visible is None else _parse_bool(visible),
     )
 
 

@@ -18,7 +18,7 @@ from msgstruct.lint import (
     guideline_checks,
     lint,
 )
-from msgstruct.parser import parse
+from msgstruct.parser import ParseError, parse
 
 # Independent transcription of the applicability table, row by row:
 # name, op-i, op-g, op-d, domain, example, description, label, link,
@@ -220,12 +220,14 @@ def test_g3_requires_matching_variants():
 
 
 def test_g4_rejects_specialisation_roots_built_programmatically():
-    ms = MessageStructure(
-        "A", Specialisation(None, ((Field("a"),), (Field("b"),)))
-    )
-    diags = guideline_checks(ms, Phase.ANALYSIS)
-    assert "G4" in [d.code for d in diags]
-    assert any(d.severity is Severity.ERROR for d in diags)
+    # G4 is retired: the constructor owns the root rule, and the parser
+    # reports its message as P004.
+    with pytest.raises(ValueError) as owner:
+        MessageStructure("A", Specialisation(None, ((Field("a"),), (Field("b"),))))
+    with pytest.raises(ParseError) as exc:
+        parse("A=[a|b]")
+    (diag,) = exc.value.diagnostics
+    assert (diag.code, diag.message) == ("P004", str(owner.value))
 
 
 def test_no_findings_on_a_quiet_structure():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -35,6 +37,8 @@ from msgstruct.core import (
 from msgstruct.parser import (
     MAX_NESTING,
     ParseError,
+    _FAST_KEYS,
+    _parse_bool,
     parse,
     parse_formula,
     structure_to_json_obj,
@@ -476,16 +480,35 @@ def test_scanner_diagnostics(text, expected):
         ("domain=enum:", lambda: EnumeratedDomain(())),
         ("domain=enum:9", lambda: EnumeratedDomain(("9",))),
         ("domain=ref:9x", lambda: ReferenceDomain("9x")),
+        ("required=yes", lambda: _parse_bool("yes")),
+        ("visible=1", lambda: _parse_bool("1")),
+        ("init=1+", lambda: parse_formula("1+")),
     ],
 )
 def test_a_bad_value_is_reported_with_its_owners_message(annotation, build):
-    # Each value rule is stated once, by the core constructor of the value it
-    # governs; the parser reports that constructor's message at the entry.
+    # Each value rule is stated once, by the owner of the value it governs;
+    # the parser reports the owner's message at the value. The value at
+    # fault is the last one in ``annotation``.
     with pytest.raises(ValueError) as owner:
         build()
-    code, message, _ = _diagnostic(f"A=<x ({annotation})>")
-    assert code == ("P006" if annotation == "op=q" else "P005")
-    assert message.startswith(str(owner.value))
+    expected = f"bad formula: {owner.value}" if annotation.startswith("init=") else str(owner.value)
+    entries = annotation.split("; ")
+    bad_value = entries[-1].split("=", 1)[1]
+    forms = [
+        f"A=<x ({annotation})>",
+        # Keys reversed after a comment: the fast path never takes this
+        # form, so the entry loop reads it from the start.
+        f"A=<x (# note\n{'; '.join(reversed(entries))})>",
+        # The tabular layout's extras cell.
+        _TABLE + f"A =\n< x\t\t\t\t({annotation})\n>\n",
+    ]
+    for text in forms:
+        code, message, span = _diagnostic(text)
+        assert code == ("P006" if annotation == "op=q" else "P005"), text
+        assert message == expected, text
+        line, start_col, end_line, end_col = map(int, re.split("[:-]", span))
+        assert end_line == line, text
+        assert text.split("\n")[line - 1][start_col - 1:end_col] == bad_value, text
 
 
 def test_annotation_entries_may_continue_on_the_next_line():
@@ -622,3 +645,21 @@ def test_parse_matches_the_golden_file():
         if parse_golden.outcome(text) != expected:
             changed.append(text)
     assert not changed, f"{len(changed)} of {len(records)} differ, the first: {changed[0]!r}"
+
+
+def test_the_fast_keys_are_in_print_order():
+    # The fast path's pattern takes the keys in ``_FAST_KEYS`` order, which
+    # must be the order ``to_text`` writes them; otherwise every annotated
+    # field would fall back to the entry loop, with no output to show it.
+    every = FieldProperties(
+        Acquisition("d", FieldRef("x")),
+        BasicDomain("text"),
+        "e",
+        "a description",
+        "a label",
+        "Entity.attribute",
+        True,
+        Number(1),
+        False,
+    )
+    assert tuple(every.to_mapping()) == _FAST_KEYS
