@@ -247,6 +247,9 @@ class FieldProperties:
     def __post_init__(self) -> None:
         if self.memory_link is not None:
             _check_link(self.memory_link)
+        for key, flag in (("compulsory", self.compulsory), ("visible", self.visible)):
+            if flag is not None and not isinstance(flag, bool):
+                raise ValueError(f"{key} must be True, False or None, found {flag!r}")
 
     def to_mapping(self) -> dict[str, str]:
         """Present properties as annotation key/value text, in print order."""
@@ -486,19 +489,15 @@ def _fold(node: Substructure, build):
 # ---------------------------------------------------------------------------
 
 
-def canonicalize(ms: MessageStructure, *, keep_names: bool = False) -> MessageStructure:
+def canonicalize(ms: MessageStructure) -> MessageStructure:
     """Rewrite a structure into canonical form.
 
     The surface syntax allows the same structure to be written several ways:
     complex substructure names may be omitted, and the aggregation implicit
     in every iteration and in every specialisation variant may be left out.
-    The canonical form makes those aggregations explicit and, by default,
-    erases complex-substructure names (they are documentation, not
-    semantics). Field order and nesting are preserved; the rewrite is
-    idempotent.
-
-    ``keep_names=True`` performs the same structural rewrite but retains
-    names; the class-diagram derivation and the fragmenter rely on it.
+    The canonical form makes those aggregations explicit and erases
+    complex-substructure names (they are documentation, not semantics).
+    Field order and nesting are preserved; the rewrite is idempotent.
     """
 
     def build(item: Substructure | tuple, parts: list) -> Substructure | tuple:
@@ -506,23 +505,24 @@ def canonicalize(ms: MessageStructure, *, keep_names: bool = False) -> MessageSt
             return item
         if isinstance(item, tuple):
             return tuple(parts)
-        name = item.name if keep_names else None
         if isinstance(item, Aggregation):
-            return Aggregation(name, tuple(parts), span=item.span)
+            return Aggregation(None, tuple(parts), span=item.span)
         if isinstance(item, Iteration):
-            return Iteration(name, (_wrap(tuple(parts), item.span),), span=item.span)
+            return Iteration(None, (_wrap(tuple(parts), item.span),), span=item.span)
         variants = tuple((_wrap(variant, item.span),) for variant in parts)
-        return Specialisation(name, variants, span=item.span)
+        return Specialisation(None, variants, span=item.span)
 
     return replace(ms, root=_fold(ms.root, build))
 
 
-def _wrap(items: tuple[Substructure, ...], span: SourceSpan | None) -> Substructure:
-    # The content of an iteration (or of a variant) is implicitly aggregated;
-    # keep an existing explicit aggregation, otherwise add an anonymous one.
-    if len(items) == 1 and isinstance(items[0], Aggregation):
-        return items[0]
-    return Aggregation(None, items, span=span)
+def _wrap(items: tuple[Substructure, ...], span: SourceSpan | None) -> Aggregation:
+    return _lone_aggregation(items) or Aggregation(None, items, span=span)
+
+
+def _lone_aggregation(items: tuple[Substructure, ...]) -> Aggregation | None:
+    """The aggregation written alone as an iteration body or a variant, which
+    canonical form keeps; ``None`` when canonical form wraps ``items``."""
+    return items[0] if len(items) == 1 and isinstance(items[0], Aggregation) else None
 
 
 def equivalent(a: MessageStructure, b: MessageStructure) -> bool:
@@ -543,7 +543,7 @@ def _shape(ms: MessageStructure) -> tuple:
     #
     # The tokens are read off the tree as written, without building the
     # canonical one: the content of an iteration or of a variant is pushed
-    # as a tuple, which stands for the aggregation ``_wrap`` makes of it.
+    # as a tuple, which stands for the aggregation canonical form makes of it.
     tokens: list = [ms.name]
     stack: list = [ms.root]
     while stack:
@@ -551,8 +551,9 @@ def _shape(ms: MessageStructure) -> tuple:
         if isinstance(node, Field):
             tokens.append(node.name)
         elif isinstance(node, tuple):
-            if len(node) == 1 and isinstance(node[0], Aggregation):
-                stack.append(node[0])
+            only = _lone_aggregation(node)
+            if only is not None:
+                stack.append(only)
             else:
                 tokens.append((Aggregation, len(node)))
                 stack.extend(reversed(node))

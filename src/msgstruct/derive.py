@@ -4,7 +4,9 @@ Each event carries the message structure of the information it feeds into
 the system. Processing one structure yields a class-diagram view; folding
 the views of all events in temporal order yields the full diagram.
 
-Mapping rules (applied to the structurally normalised tree, names kept):
+Mapping rules (applied to the canonical form as read off the tree as
+written: the aggregation implicit in an iteration or a variant is the one
+written alone there, if any, and names are kept):
 
     R1  the initial substructure becomes a defined class named after the
         message structure
@@ -45,8 +47,8 @@ from .core import (
     ReferenceDomain,
     Specialisation,
     _domain_from_text,
+    _lone_aggregation,
     _traverse,
-    canonicalize,
     domain_to_text,
     formula_to_text,
 )
@@ -262,16 +264,13 @@ class _ViewBuilder:
 
 def derive_view(event: CommunicativeEvent) -> ClassDiagram:
     """Map one event's message structure to a class-diagram view."""
-    # The tree is canonical here: an iteration's only child and every
-    # variant's only member are aggregations.
-    ms = canonicalize(event.structure, keep_names=True)
     builder = _ViewBuilder()
     # The class the next fields go to, whether they are optional, and the
     # specialisation whose variants are entered next, if they become
     # subclasses; ``saved`` holds them for each open item.
-    cls, optional, spec = builder.add_class(class_name(ms.name), "defined"), False, None
+    cls, optional, spec = builder.add_class(class_name(event.structure.name), "defined"), False, None
     saved: list[tuple[str, bool, Specialisation | None]] = []
-    for entering, item in _traverse(ms.root):
+    for entering, item in _traverse(event.structure.root):
         if isinstance(item, Field):
             domain, acquisition = item.properties.domain, item.properties.acquisition
             if isinstance(domain, ReferenceDomain):
@@ -288,8 +287,8 @@ def derive_view(event: CommunicativeEvent) -> ClassDiagram:
             continue
         saved.append((cls, optional, spec))
         if isinstance(item, Iteration):
-            inner = item.children[0]
-            raw = inner.name or item.name or f"{cls}_item"
+            inner = _lone_aggregation(item.children)
+            raw = (inner and inner.name) or item.name or f"{cls}_item"
             item_cls = builder.add_class(class_name(raw), "defined")
             builder.associate(Association(cls, item_cls, "composition", "many"))
             cls, optional = item_cls, False
@@ -300,15 +299,15 @@ def derive_view(event: CommunicativeEvent) -> ClassDiagram:
             else:
                 spec = item
         elif isinstance(item, tuple) and spec is not None:
-            node = item[0]
-            if node.name is None:
+            node = _lone_aggregation(item)
+            if node is None or node.name is None:
                 raise DerivationError(
                     Diagnostic(
                         Severity.ERROR,
                         "D001",
                         f"variant of a specialisation under class {cls!r} has no name "
                         "to derive a subclass from",
-                        node.span or spec.span,
+                        (node and node.span) or spec.span,
                     )
                 )
             sub = builder.add_class(class_name(node.name), "subclass", parent=cls)

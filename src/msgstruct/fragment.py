@@ -21,8 +21,8 @@ from .core import (
     Iteration,
     MessageStructure,
     Specialisation,
+    _lone_aggregation,
     _traverse,
-    canonicalize,
 )
 
 __all__ = [
@@ -105,10 +105,9 @@ def fragment_1nf(ms: MessageStructure) -> list[Fragment]:
     preserved. The fragment list is in depth-first encounter order, root
     first.
     """
-    normal = canonicalize(ms, keep_names=True)
     current = _FragmentBuilder(ms.name, 0, None)
     fragments = [current]
-    for entering, item in _traverse(normal.root):
+    for entering, item in _traverse(ms.root):
         if isinstance(item, Field):
             current.fields.append(item)
         elif isinstance(item, Iteration):
@@ -124,8 +123,8 @@ def fragment_1nf(ms: MessageStructure) -> list[Fragment]:
 
 
 def _iteration_label(node: Iteration, parent: _FragmentBuilder) -> str:
-    # Canonical form: an iteration's only child is an aggregation.
-    base = node.name or node.children[0].name
+    inner = _lone_aggregation(node.children)
+    base = node.name or (inner and inner.name)
     if base is None:
         base = f"it{len(parent.used_labels) + 1}"
     # The first unused of base, base-2, base-3, ...; the probe resumes
@@ -141,7 +140,8 @@ def _iteration_label(node: Iteration, parent: _FragmentBuilder) -> str:
 
 
 def _discriminator_note(spec: Specialisation) -> str:
-    note = "|".join(variant[0].name or "?" for variant in spec.variants)
+    inner = map(_lone_aggregation, spec.variants)
+    note = "|".join((node and node.name) or "?" for node in inner)
     return f"{spec.name}:{note}" if spec.name else note
 
 

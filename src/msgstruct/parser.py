@@ -61,6 +61,7 @@ from .core import (
     Text,
     _domain_from_text,
     _fold,
+    _lone_aggregation,
     _traverse,
 )
 from .diagnostics import Diagnostic, Severity, SourceSpan
@@ -747,11 +748,9 @@ def _compact(root: Substructure) -> str:
         # variant is left out, except when its own single child is an
         # aggregation (eliding would merge two nesting levels on re-parse).
         if entering and isinstance(item, (Iteration, tuple)):
-            body = item if isinstance(item, tuple) else item.children
-            only = body[0]
-            if len(body) == 1 and isinstance(only, Aggregation) and only.name is None:
-                if not (len(only.children) == 1 and isinstance(only.children[0], Aggregation)):
-                    elided.add(id(only))
+            only = _lone_aggregation(item if isinstance(item, tuple) else item.children)
+            if only is not None and only.name is None and _lone_aggregation(only.children) is None:
+                elided.add(id(only))
     return "".join(out)
 
 

@@ -194,39 +194,44 @@ def _is_single_aggregation(items: tuple) -> bool:
 
 
 @st.composite
-def _resugar_body(draw, items: tuple) -> tuple:
+def _resugar_body(draw, items: tuple, rename: bool) -> tuple:
     """Randomly toggle the implicit aggregation of an iteration body or a
     specialisation variant, preserving equivalence."""
-    items = tuple(draw(_resugar_node(item)) for item in items)
+    items = tuple(draw(_resugar_node(item, rename)) for item in items)
     if _is_single_aggregation(items) and items[0].name is None:
         inner = items[0].children
         if not _is_single_aggregation(inner) and draw(st.booleans()):
             return inner  # drop the explicit aggregation
     elif not _is_single_aggregation(items) and draw(st.booleans()):
-        return (Aggregation(draw(maybe_names), items),)  # make it explicit
+        name = draw(maybe_names) if rename else None
+        return (Aggregation(name, items),)  # make it explicit
     return items
 
 
 @st.composite
-def _resugar_node(draw, node):
+def _resugar_node(draw, node, rename: bool):
     if isinstance(node, Field):
         return node
-    new_name = draw(st.sampled_from(["keep", "drop", "fresh"]))
+    new_name = draw(st.sampled_from(["keep", "drop", "fresh"])) if rename else "keep"
     name = node.name if new_name == "keep" else (
         None if new_name == "drop" else draw(names())
     )
     if isinstance(node, Aggregation):
-        return Aggregation(name, tuple(draw(_resugar_node(c)) for c in node.children))
+        return Aggregation(name, tuple(draw(_resugar_node(c, rename)) for c in node.children))
     if isinstance(node, Iteration):
-        return Iteration(name, draw(_resugar_body(node.children)))
+        return Iteration(name, draw(_resugar_body(node.children, rename)))
     return Specialisation(
-        name, tuple(draw(_resugar_body(v)) for v in node.variants)
+        name, tuple(draw(_resugar_body(v, rename)) for v in node.variants)
     )
 
 
 @st.composite
-def resugared(draw, ms: MessageStructure) -> MessageStructure:
-    root = draw(_resugar_node(ms.root))
+def resugared(draw, ms: MessageStructure, rename: bool = True) -> MessageStructure:
+    """An equivalent structure: implicit aggregations written out or dropped
+    and, if ``rename``, complex-substructure names kept, dropped or replaced.
+    Without ``rename`` every name stays and each aggregation written out is
+    anonymous."""
+    root = draw(_resugar_node(ms.root, rename))
     if isinstance(root, Specialisation):  # keep the root well-formed
         root = ms.root
     return MessageStructure(ms.name, root)

@@ -390,6 +390,25 @@ def test_derive_conflicting_domains_exit_1_with_d003(run_cli, corpus_dir):
     assert "Traceback" not in result.stderr
 
 
+def test_derive_prints_a_d003_of_integration_under_the_manifest(tmp_path, monkeypatch, capsys):
+    # The test above runs a child process; this one runs in process, so the
+    # exact message is pinned where the integration error path is traced.
+    from msgstruct import cli
+
+    for name, domain in (("num", "number"), ("txt", "text")):
+        (tmp_path / f"{name}.ms").write_text(f"A = < x (op=i; domain={domain}) >\n", encoding="utf-8")
+    (tmp_path / "ev.json").write_text(
+        '[{"id": "E1", "name": "a", "order": 1, "file": "num.ms"},\n'
+        ' {"id": "E2", "name": "b", "order": 2, "file": "txt.ms"}]\n',
+        encoding="utf-8",
+    )
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["derive", "--events", "ev.json"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "ev.json: error: D003: attribute 'x' of class 'A' has conflicting domains (number vs text)\n"
+
+
 def test_derive_parse_failure_in_event_file_exits_1(run_cli, corpus_dir):
     (corpus_dir / "badparse.json").write_text(
         '[{"id": "E", "name": "x", "order": 0, "file": "vehicle_a.ms"}]\n',

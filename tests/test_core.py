@@ -94,13 +94,6 @@ def test_variant_bodies_get_explicit_aggregations():
     assert equivalent(parse("A=<[a]>"), parse("A=<[<a>]>"))
 
 
-def test_keep_names_variant_preserves_documentation_names():
-    ms = canonicalize(parse("A=<a+C={D=<e>}>"), keep_names=True)
-    c = ms.root.children[1]
-    assert c.name == "C"
-    assert c.children[0].name == "D"
-
-
 def test_equivalence_examples(order):
     assert equivalent(parse(SUGAR_FORMS[0]), parse(SUGAR_FORMS[3]))
     assert equivalent(parse("A=<a>"), parse("A=<a>"))
@@ -172,6 +165,9 @@ def test_specialisation_walk_covers_variants(assignment):
         lambda: EnumeratedDomain(("9",)),
         lambda: EnumeratedDomain(("a", "a")),
         lambda: FieldProperties(memory_link="bad"),
+        # Flags are tested by type: 0 in (True, False) holds.
+        lambda: FieldProperties(compulsory="no"),
+        lambda: FieldProperties(visible=0),
     ],
 )
 def test_ill_formed_nodes_are_rejected(build):
@@ -260,7 +256,7 @@ _DIFFERENTIAL = settings(max_examples=200, deadline=None, derandomize=True)
 @_DIFFERENTIAL
 @given(strat.structures())
 def test_differential_walk_and_shape_on_structures(ms):
-    for tree in (ms, canonicalize(ms), canonicalize(ms, keep_names=True)):
+    for tree in (ms, canonicalize(ms)):
         _assert_walk_matches_reference(tree)
         _assert_walk_matches_reference(tree.root)
         assert _shape(tree) == _reference_shape(tree)
@@ -316,10 +312,9 @@ def test_traversals_of_trees_built_in_code_ignore_depth(wrap, fields, opener, cl
     assert ms == same and not ms != same and hash(ms) == hash(same)
     assert ms != shorter and not ms == shorter
 
-    for keep_names in (False, True):
-        canonical = canonicalize(ms, keep_names=keep_names)
-        assert equivalent(canonical, ms)
-        assert canonicalize(canonical, keep_names=keep_names) == canonical
+    canonical = canonicalize(ms)
+    assert equivalent(canonical, ms)
+    assert canonicalize(canonical) == canonical
 
     fragments = fragment_1nf(ms)
     assert [f.name for fragment in fragments for f in fragment.fields] == fields

@@ -5,8 +5,11 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from msgstruct.core import canonicalize
+import strategies as strat
+from conftest import SUGAR_FORMS
 from msgstruct.derive import (
     Association,
     Attribute,
@@ -21,6 +24,7 @@ from msgstruct.derive import (
     export_diagram,
     integrate,
 )
+from msgstruct.fragment import fragment_1nf
 from msgstruct.parser import parse
 from properties import (
     prop_class_count_law,
@@ -338,10 +342,32 @@ def test_json_round_trip(order_view, assignment):
         assert recovered == view
 
 
-def test_derivation_runs_on_the_canonical_form(order):
-    sugared = derive_view(_event(order))
-    explicit = derive_view(_event(canonicalize(order, keep_names=True)))
-    assert sugared == explicit
+def test_derivation_runs_on_the_canonical_form():
+    # Each sugared form against the same structure with its implicit
+    # aggregation written out, names unchanged: derivation and fragmentation
+    # read the canonical form off either tree.
+    sugared = [form for form in SUGAR_FORMS if "{e+f+g}" in form]
+    assert len(sugared) == 2
+    for form in sugared:
+        explicit = parse(form.replace("{e+f+g}", "{<e+f+g>}"))
+        assert derive_view(_event(parse(form))) == derive_view(_event(explicit))
+        assert fragment_1nf(parse(form)) == fragment_1nf(explicit)
+
+
+def _derived(ms):
+    try:
+        return derive_view(_event(ms))
+    except DerivationError as exc:
+        return exc.diagnostic
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_derivation_and_fragments_ignore_how_implicit_aggregations_are_written(data):
+    ms = data.draw(strat.structures())
+    twin = data.draw(strat.resugared(ms, rename=False))
+    assert _derived(twin) == _derived(ms)
+    assert fragment_1nf(twin) == fragment_1nf(ms)
 
 
 # ---------------------------------------------------------------------------

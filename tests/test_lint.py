@@ -219,6 +219,20 @@ def test_g3_requires_matching_variants():
     assert guideline_checks(ms, Phase.ANALYSIS) == []
 
 
+@pytest.mark.parametrize(
+    "literals, expected",
+    [
+        # Same count as the variants, but 'cd' names no variant.
+        ("ab|cd", []),
+        ("ab|xy", [("G3", "specialisation duplicates the enumerated domain of field 'f' (ab|xy)", "1:28")]),
+    ],
+)
+def test_g3_needs_every_literal_to_match_a_variant(literals, expected):
+    ms = parse(f"A=<f (domain=enum:{literals}) + [AB=<x>|XY=<y>]>")
+    diags = guideline_checks(ms, Phase.ANALYSIS)
+    assert [(d.code, d.message, str(d.span)) for d in diags] == expected
+
+
 def test_g4_rejects_specialisation_roots_built_programmatically():
     # G4 is retired: the constructor owns the root rule, and the parser
     # reports its message as P004.

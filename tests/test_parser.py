@@ -31,6 +31,7 @@ from msgstruct.core import (
     Specialisation,
     canonicalize,
     equivalent,
+    formula_to_text,
     iter_fields,
     walk,
 )
@@ -281,6 +282,22 @@ def test_formula_subtraction_groups_left():
     assert f == BinaryOp("-", BinaryOp("-", FieldRef("a"), FieldRef("b")), FieldRef("c"))
 
 
+@pytest.mark.parametrize(
+    "text, printed",
+    [
+        ("(:a + :b) * :c", "(:a + :b) * :c"),
+        (":a - (:b - :c)", ":a - (:b - :c)"),
+        (":a / (:b * :c)", ":a / (:b * :c)"),
+        # Subtraction groups left, so the left operand needs no parentheses.
+        ("(:a - :b) - :c", ":a - :b - :c"),
+    ],
+)
+def test_formula_printing_keeps_only_the_parentheses_it_needs(text, printed):
+    formula = parse_formula(text)
+    assert formula_to_text(formula) == printed
+    assert parse_formula(printed) == formula
+
+
 # A formula nests at most 64 levels: each operator, call and parenthesised
 # group is one level over its deepest operand (README, "Notation").
 _FORMULA_DEPTH = 64
@@ -463,6 +480,12 @@ _TABLE = "FIELD\tOP\tDOMAIN\tEXAMPLE VALUE\n"
             _TABLE + "A =\n< x +\t\t\t\t(desc\ny\ti\n>",
             ("P005", "expected '=' after property key 'desc'", "3:14-3:14"),
         ),
+        (
+            "A=<x (op=i) = <y>>",
+            ("P007", "annotated name 'x' cannot introduce a complex substructure", "1:13-1:13"),
+        ),
+        # An extras cell may not repeat a property of another cell.
+        (_TABLE + "A =\n< x\ti\t\t\t(op=g) >\n", ("P005", "duplicate property key 'op'", "3:10-3:11")),
     ],
 )
 def test_scanner_diagnostics(text, expected):
