@@ -525,6 +525,12 @@ def _lone_aggregation(items: tuple[Substructure, ...]) -> Aggregation | None:
     return items[0] if len(items) == 1 and isinstance(items[0], Aggregation) else None
 
 
+def _canonical_name(items: tuple[Substructure, ...]) -> str | None:
+    """The name canonical form reads off an iteration body or a variant."""
+    only = _lone_aggregation(items)
+    return None if only is None else only.name
+
+
 def equivalent(a: MessageStructure, b: MessageStructure) -> bool:
     """Structural equivalence: equal canonical trees.
 

@@ -4,9 +4,8 @@ Each event carries the message structure of the information it feeds into
 the system. Processing one structure yields a class-diagram view; folding
 the views of all events in temporal order yields the full diagram.
 
-Mapping rules (applied to the canonical form as read off the tree as
-written: the aggregation implicit in an iteration or a variant is the one
-written alone there, if any, and names are kept):
+Mapping rules (on the canonical form read off the tree as written: an
+iteration body or a variant is named by the aggregation written alone there):
 
     R1  the initial substructure becomes a defined class named after the
         message structure
@@ -46,6 +45,7 @@ from .core import (
     MessageStructure,
     ReferenceDomain,
     Specialisation,
+    _canonical_name,
     _domain_from_text,
     _lone_aggregation,
     _traverse,
@@ -287,8 +287,7 @@ def derive_view(event: CommunicativeEvent) -> ClassDiagram:
             continue
         saved.append((cls, optional, spec))
         if isinstance(item, Iteration):
-            inner = _lone_aggregation(item.children)
-            raw = (inner and inner.name) or item.name or f"{cls}_item"
+            raw = _canonical_name(item.children) or item.name or f"{cls}_item"
             item_cls = builder.add_class(class_name(raw), "defined")
             builder.associate(Association(cls, item_cls, "composition", "many"))
             cls, optional = item_cls, False
@@ -299,8 +298,9 @@ def derive_view(event: CommunicativeEvent) -> ClassDiagram:
             else:
                 spec = item
         elif isinstance(item, tuple) and spec is not None:
-            node = _lone_aggregation(item)
-            if node is None or node.name is None:
+            name = _canonical_name(item)
+            if name is None:
+                node = _lone_aggregation(item)
                 raise DerivationError(
                     Diagnostic(
                         Severity.ERROR,
@@ -310,7 +310,7 @@ def derive_view(event: CommunicativeEvent) -> ClassDiagram:
                         (node and node.span) or spec.span,
                     )
                 )
-            sub = builder.add_class(class_name(node.name), "subclass", parent=cls)
+            sub = builder.add_class(class_name(name), "subclass", parent=cls)
             builder.associate(Association(cls, sub, "generalisation", None))
             cls, spec = sub, None
     return builder.build()

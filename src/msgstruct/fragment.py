@@ -21,7 +21,7 @@ from .core import (
     Iteration,
     MessageStructure,
     Specialisation,
-    _lone_aggregation,
+    _canonical_name,
     _traverse,
 )
 
@@ -123,8 +123,7 @@ def fragment_1nf(ms: MessageStructure) -> list[Fragment]:
 
 
 def _iteration_label(node: Iteration, parent: _FragmentBuilder) -> str:
-    inner = _lone_aggregation(node.children)
-    base = node.name or (inner and inner.name)
+    base = node.name or _canonical_name(node.children)
     if base is None:
         base = f"it{len(parent.used_labels) + 1}"
     # The first unused of base, base-2, base-3, ...; the probe resumes
@@ -140,8 +139,7 @@ def _iteration_label(node: Iteration, parent: _FragmentBuilder) -> str:
 
 
 def _discriminator_note(spec: Specialisation) -> str:
-    inner = map(_lone_aggregation, spec.variants)
-    note = "|".join((node and node.name) or "?" for node in inner)
+    note = "|".join(_canonical_name(variant) or "?" for variant in spec.variants)
     return f"{spec.name}:{note}" if spec.name else note
 
 

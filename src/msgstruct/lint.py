@@ -11,7 +11,9 @@ The guideline checks catch method smells the matrix cannot express:
 
     G1  field name suggests a derivable total (analysis only, wordlist)
     G2  a formula references a field that does not exist in the structure
-    G3  an enumerated field domain duplicates a sibling specialisation
+    G3  an enumerated field domain duplicates a sibling specialisation;
+        a variant is named as ``derive_view`` and ``fragment_1nf`` name it,
+        by the aggregation written alone in it, else not at all
 
 The initial substructure is an aggregation or an iteration by construction:
 ``MessageStructure`` rejects any other root.
@@ -29,6 +31,7 @@ from .core import (
     MessageStructure,
     Specialisation,
     Substructure,
+    _canonical_name,
     formula_refs,
     iter_fields,
     walk,
@@ -345,14 +348,12 @@ def _check_domain_carrier(siblings: tuple[Substructure, ...]) -> list[Diagnostic
         if isinstance(f, Field) and isinstance(f.properties.domain, EnumeratedDomain)
     ]
     for spec in specs:
-        variant_names = [_variant_name(v) for v in spec.variants]
-        if any(n is None for n in variant_names) or len(variant_names) < 2:
+        variant_names = [_canonical_name(v) for v in spec.variants]
+        if None in variant_names or len(variant_names) < 2:
             continue
         for f in enums:
             literals = f.properties.domain.literals
-            if len(literals) != len(variant_names):
-                continue
-            if _literals_match(literals, [n for n in variant_names if n]):
+            if len(literals) == len(variant_names) and _literals_match(literals, variant_names):
                 out.append(
                     Diagnostic(
                         Severity.WARNING,
@@ -363,12 +364,6 @@ def _check_domain_carrier(siblings: tuple[Substructure, ...]) -> list[Diagnostic
                     )
                 )
     return out
-
-
-def _variant_name(variant: tuple[Substructure, ...]) -> str | None:
-    if len(variant) == 1 and not isinstance(variant[0], Field):
-        return variant[0].name
-    return None
 
 
 def _literals_match(literals: tuple[str, ...], names: list[str]) -> bool:

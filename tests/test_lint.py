@@ -5,10 +5,14 @@ from __future__ import annotations
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import ORDER_TEXT
-from msgstruct.core import Field, MessageStructure, Specialisation
+from msgstruct.core import Field, MessageStructure, Specialisation, walk
+from msgstruct.derive import CommunicativeEvent, DerivationError, derive_view
 from msgstruct.diagnostics import Severity
+from msgstruct.fragment import fragment_1nf
 from msgstruct.lint import (
     APPLICABILITY,
     Level,
@@ -200,6 +204,12 @@ def test_g2_unknown_formula_reference():
 def test_g2_checks_initialisation_formulas_too():
     ms = parse('A=<a (init=":missing")>')
     assert [d.code for d in guideline_checks(ms, Phase.DESIGN_MEMORY)] == ["G2"]
+    # References inside a function's arguments count too.
+    ms = parse('A=<a (init="round(:missing, 2)")>')
+    diags = guideline_checks(ms, Phase.DESIGN_MEMORY)
+    assert [(d.code, d.message) for d in diags] == [
+        ("G2", "formula on field 'a' references unknown field 'missing'")
+    ]
 
 
 def test_g2_accepts_known_references():
@@ -231,6 +241,57 @@ def test_g3_needs_every_literal_to_match_a_variant(literals, expected):
     ms = parse(f"A=<f (domain=enum:{literals}) + [AB=<x>|XY=<y>]>")
     diags = guideline_checks(ms, Phase.ANALYSIS)
     assert [(d.code, d.message, str(d.span)) for d in diags] == expected
+    # A variant is named only by the aggregation written alone in it, as
+    # derive_view and fragment_1nf name it: a lone named iteration or
+    # specialisation leaves it unnamed, so no literal matches it.
+    for variants in ("AB={x}|XY={y}", "AB=[x]|XY=[y]"):
+        ms = parse(f"A=<f (domain=enum:{literals}) + [{variants}]>")
+        assert guideline_checks(ms, Phase.ANALYSIS) == [], variants
+
+
+# How a variant may be written: alone as an aggregation, an iteration or a
+# specialisation, named or not, or as bare fields.
+_VARIANT_FORMS = ("{name}=<{body}>", "<{body}>", "{name}={{{body}}}", "{{{body}}}",
+                  "{name}=[{body}]", "[{body}]", "{body}")
+
+
+@st.composite
+def _enum_beside_variants(draw) -> MessageStructure:
+    """An enum field whose literals are the lowercased variant names of the
+    specialisation beside it. The names start with distinct letters, so the
+    literals match the names in any order."""
+    letters = draw(st.lists(st.sampled_from("ABCDEFGHJKLMNPQRSTUVWXYZ"), min_size=2, max_size=4, unique=True))
+    names = [a + draw(st.text("ABCDEFGHIJKLMNOPQRSTUVWXYZ", min_size=1, max_size=3)) for a in letters]
+    variants = []
+    for i, name in enumerate(names):
+        body = " + ".join(f"{v}{i}" for v in "xy"[: draw(st.integers(1, 2))])
+        # Over half the variants are named aggregations, so G3 fires often.
+        form = draw(st.just(_VARIANT_FORMS[0]) | st.sampled_from(_VARIANT_FORMS))
+        variants.append(form.format(name=name, body=body))
+    literals = draw(st.permutations([n.lower() for n in names]))
+    return parse(f"Msg1=<f (op=i; domain=enum:{'|'.join(literals)}) + [{'|'.join(variants)}]>")
+
+
+def _within(inner, outer) -> bool:
+    start, end = (inner.start_line, inner.start_col), (inner.end_line, inner.end_col)
+    return (outer.start_line, outer.start_col) <= start and end <= (outer.end_line, outer.end_col)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_enum_beside_variants())
+def test_g3_derive_and_fragment_name_variants_by_one_rule(ms):
+    # G3 fires on the specialisation exactly where derive_view can name a
+    # subclass for every variant, and fragment_1nf a discriminator.
+    spec = next(n for n in walk(ms) if isinstance(n, Specialisation))
+    g3 = [d for d in guideline_checks(ms, Phase.ANALYSIS) if d.code == "G3" and d.span == spec.span]
+    try:
+        derive_view(CommunicativeEvent("E1", "e", 1, ms))
+        d001 = False
+    except DerivationError as exc:
+        d001 = exc.diagnostic.code == "D001" and _within(exc.diagnostic.span, spec.span)
+    unnamed = "?" in fragment_1nf(ms)[0].discriminators[0]
+    assert bool(g3) is not d001
+    assert d001 is unnamed
 
 
 def test_g4_rejects_specialisation_roots_built_programmatically():

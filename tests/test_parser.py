@@ -486,6 +486,17 @@ _TABLE = "FIELD\tOP\tDOMAIN\tEXAMPLE VALUE\n"
         ),
         # An extras cell may not repeat a property of another cell.
         (_TABLE + "A =\n< x\ti\t\t\t(op=g) >\n", ("P005", "duplicate property key 'op'", "3:10-3:11")),
+        # The same at the end of input, where the fast path reads the row
+        # and hands it back to the entry loop.
+        (_TABLE + "A =\n< x\ti\t\t\t(op=g)", ("P005", "duplicate property key 'op'", "3:10-3:11")),
+        (
+            _TABLE + "A =\n< x\t\ttext\t\t(domain=number)",
+            ("P005", "duplicate property key 'domain'", "3:13-3:18"),
+        ),
+        (
+            _TABLE + 'A =\n< x\t\t\t7\t(example="8")',
+            ("P005", "duplicate property key 'example'", "3:10-3:16"),
+        ),
     ],
 )
 def test_scanner_diagnostics(text, expected):
@@ -506,6 +517,10 @@ def test_scanner_diagnostics(text, expected):
         ("required=yes", lambda: _parse_bool("yes")),
         ("visible=1", lambda: _parse_bool("1")),
         ("init=1+", lambda: parse_formula("1+")),
+        ("init=(1", lambda: parse_formula("(1")),
+        ("init=:", lambda: parse_formula(":")),
+        ("init='x", lambda: parse_formula("'x")),
+        ('init="f(1 2)"', lambda: parse_formula("f(1 2)")),
     ],
 )
 def test_a_bad_value_is_reported_with_its_owners_message(annotation, build):
