@@ -57,7 +57,7 @@ _HOMES = {
     "iter_fields": "core",
     "lint": "lint",
     "parse": "parser",
-    "parse_formula": "parser",
+    "parse_formula": "core",
     "to_text": "parser",
     "walk": "core",
 }

@@ -6,7 +6,8 @@ kinds (aggregation ``< >``, iteration ``{ }``, specialisation ``[ | ]``) with
 fields at the leaves. All nodes are immutable; every operation here is a pure
 function, so values are safe to share across threads.
 
-Equality on nodes is structural and ignores source spans.
+Equality on nodes is structural and ignores source spans. The text of names
+and property values is read and written here; the parser only locates it.
 """
 
 from __future__ import annotations
@@ -17,16 +18,46 @@ from typing import Iterator, Union
 
 from .diagnostics import SourceSpan
 
+
+def _name(gap: str) -> str:
+    """A name: words of letters, digits and hyphens, ``gap`` apart."""
+    return rf"[A-Za-z][A-Za-z0-9-]*(?:{gap}[A-Za-z0-9][A-Za-z0-9-]*)*"
+
+
 # Names start with a letter and may contain letters, digits, hyphens, and
 # single internal spaces ("Person in charge").
-IDENTIFIER_RE = re.compile(r"[A-Za-z][A-Za-z0-9-]*(?: [A-Za-z0-9][A-Za-z0-9-]*)*")
+IDENTIFIER_RE = re.compile(_name(" "))
 
 # Correspondence with a stored attribute: "Entity.attribute".
-MEMORY_LINK_RE = re.compile(
-    r"[A-Za-z][A-Za-z0-9 -]*\.[A-Za-z][A-Za-z0-9 -]*"
-)
+MEMORY_LINK_RE = re.compile(r"[A-Za-z][A-Za-z0-9 -]*\.[A-Za-z][A-Za-z0-9 -]*")
 
 BASIC_DOMAIN_KINDS = ("text", "number", "money", "date", "time")
+
+
+def _single_spaced(name: str) -> str:
+    """A name with one space for each run of blanks between its words."""
+    return " ".join(name.split()) if "  " in name or "\t" in name else name
+
+
+def _parse_bool(value: str) -> bool:
+    if value not in ("true", "false"):
+        raise ValueError(f"expected true or false, found {value!r}")
+    return value == "true"
+
+
+# Quoted text: what a '\\' escape stands for, both ways. An unknown escape
+# reads as written.
+_ESCAPES = {"\\": "\\\\", '"': '\\"', "\t": "\\t", "\n": "\\n", "\r": "\\r"}
+_UNESCAPES = {"\\": "\\", '"': '"', "'": "'", "t": "\t", "n": "\n", "r": "\r"}
+_UNESCAPE_RE = re.compile(r"\\([\s\S]?)")
+
+
+def _escape(value: str) -> str:
+    return "".join(_ESCAPES.get(ch, ch) for ch in value)
+
+
+def _unescape(text: str) -> str:
+    return _UNESCAPE_RE.sub(lambda m: _UNESCAPES.get(m[1], "\\" + m[1]), text)
 
 
 # ---------------------------------------------------------------------------
@@ -75,6 +106,7 @@ class Call:
 Formula = Union[FieldRef, Number, Text, BinaryOp, Call]
 
 _PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
+_TIGHTEST = max(_PRECEDENCE.values())
 
 
 def formula_to_text(f: Formula) -> str:
@@ -83,10 +115,15 @@ def formula_to_text(f: Formula) -> str:
         case FieldRef(name):
             return f":{name}"
         case Number(value):
-            return repr(value)
+            # Positional, as the number token reads it: 1e-05 is 0.00001.
+            text = repr(value)
+            if "e" in text:
+                from decimal import Decimal
+
+                text = f"{Decimal(text):f}"
+            return text if "." in text or isinstance(value, int) else text + ".0"
         case Text(value):
-            escaped = value.replace("\\", "\\\\").replace("'", "\\'")
-            return f"'{escaped}'"
+            return "'" + value.replace("\\", "\\\\").replace("'", "\\'") + "'"
         case Call(name, args):
             return f"{name}({', '.join(formula_to_text(a) for a in args)})"
         case BinaryOp(op, left, right):
@@ -111,6 +148,119 @@ def formula_refs(f: Formula) -> list[str]:
             return [r for a in args for r in formula_refs(a)]
         case _:
             return []
+
+
+# The deepest nesting of a formula (see ``_FormulaParser``). A formula at
+# this depth, inside a structure ``MAX_NESTING`` deep, still parses, prints,
+# compares and hashes within the interpreter's default recursion limit.
+_MAX_FORMULA_DEPTH = 64
+
+# One token of a formula: a number, a function name, a ':' field reference,
+# a quoted string, or a single other character ("" at the end).
+_FORMULA_TOKEN_RE = re.compile(
+    r"[ \t\n]*(?P<token>(?P<number>\d+(?:\.\d+)?)|(?P<call>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|:(?P<ref>" + _name(r"[ \t]+") + ")?"
+    r"""|(?P<quote>['"])(?P<text>(?:(?!(?P=quote))[^\\]|\\[\s\S]?)*)(?P<close>(?P=quote)?)|.?)"""
+)
+
+
+def parse_formula(text: str) -> Formula:
+    """Parse a derivation/initialisation formula, e.g. ``:Price * :Quantity``."""
+    reader = _FormulaParser(text)
+    node, _ = reader._expr()
+    if reader.ch:
+        raise ValueError(f"unexpected {reader.ch!r} at offset {reader.start}")
+    return node
+
+
+class _FormulaParser:
+    """Tiny expression grammar: the ``_PRECEDENCE`` levels (``+ -`` over
+    ``* /``) over atoms, all left-associative; atoms are ``:Field`` refs,
+    numbers, quoted strings, function calls, and parenthesised groups. It
+    reads one token per match of ``_FORMULA_TOKEN_RE``: ``m`` is the match,
+    ``ch`` the token's first character ("" at the end), ``start`` its offset.
+
+    Each method returns a node with its nesting level: 0 for an atom, and
+    one over the deepest operand for an operator, a call or a group. Past
+    ``_MAX_FORMULA_DEPTH`` the formula is rejected; ``open`` counts the open
+    groups, so the reader's own recursion is bounded too."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.end = 0
+        self.open = 0
+        self._next()
+
+    def _next(self) -> None:
+        self.m = m = _FORMULA_TOKEN_RE.match(self.text, self.end)
+        self.start, self.end = m.span("token")
+        self.ch = m["token"][:1]
+
+    @staticmethod
+    def _level(depth: int) -> int:
+        if depth > _MAX_FORMULA_DEPTH:
+            raise ValueError(f"nested too deep: more than {_MAX_FORMULA_DEPTH} levels")
+        return depth
+
+    def _expr(self, level: int = 1) -> tuple[Formula, int]:
+        """The operators of one precedence ``level`` over operands of the
+        next, read in a loop, so that a group costs three frames."""
+        node, depth = self._atom() if level == _TIGHTEST else self._expr(level + 1)
+        while _PRECEDENCE.get(self.ch) == level:
+            op = self.ch
+            self._next()
+            right, right_depth = self._atom() if level == _TIGHTEST else self._expr(level + 1)
+            node, depth = BinaryOp(op, node, right), self._level(max(depth, right_depth) + 1)
+        return node, depth
+
+    def _atom(self) -> tuple[Formula, int]:
+        m, ch = self.m, self.ch
+        if ch == "":
+            raise ValueError("formula ends where a value was expected")
+        if ch == "(":
+            self._next()
+            self.open = self._level(self.open + 1)
+            node, depth = self._expr()
+            if self.ch != ")":
+                raise ValueError("missing ')'")
+            self._next()
+            self.open -= 1
+            return node, self._level(depth + 1)
+        if ch == ":":
+            if m["ref"] is None:
+                raise ValueError("':' must be followed by a field name")
+            self._next()
+            return FieldRef(_single_spaced(m["ref"])), 0
+        if m["quote"]:
+            if not m["close"]:
+                raise ValueError("unterminated string")
+            self._next()
+            return Text(_unescape(m["text"])), 0
+        if m["number"]:
+            self._next()
+            raw = m["number"]
+            return Number(float(raw) if "." in raw else int(raw)), 0
+        if m["call"]:
+            name = m["call"]
+            self._next()
+            if self.ch != "(":
+                raise ValueError(f"function name {name!r} must be followed by '('")
+            self._next()
+            self.open = self._level(self.open + 1)
+            args: list[Formula] = []
+            depth = 0
+            while self.ch != ")":
+                if args:
+                    if self.ch != ",":
+                        raise ValueError("expected ',' or ')' in argument list")
+                    self._next()
+                arg, arg_depth = self._expr()
+                args.append(arg)
+                depth = max(depth, arg_depth)
+            self._next()
+            self.open -= 1
+            return Call(name, tuple(args)), self._level(depth + 1)
+        raise ValueError(f"unexpected {ch!r} in formula")
 
 
 # ---------------------------------------------------------------------------
@@ -365,20 +515,17 @@ class Specialisation(_Node):
     span: SourceSpan | None = None
 
     def __post_init__(self) -> None:
-        if self.name is not None and not IDENTIFIER_RE.fullmatch(self.name):
-            raise ValueError(f"invalid substructure name {self.name!r}")
-        if not self.variants:
-            raise ValueError("specialisation needs at least one variant")
+        _check_complex(self.name, self.variants, "specialisation needs at least one variant")
         for variant in self.variants:
             if not variant:
                 raise ValueError("specialisation variant may not be empty")
 
 
-def _check_complex(name: str | None, children: tuple) -> None:
+def _check_complex(name: str | None, parts: tuple, empty="complex substructure needs at least one child") -> None:
     if name is not None and not IDENTIFIER_RE.fullmatch(name):
         raise ValueError(f"invalid substructure name {name!r}")
-    if not children:
-        raise ValueError("complex substructure needs at least one child")
+    if not parts:
+        raise ValueError(empty)
 
 
 Substructure = Union[Field, Aggregation, Iteration, Specialisation]

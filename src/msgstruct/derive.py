@@ -51,9 +51,10 @@ from .core import (
     _traverse,
     domain_to_text,
     formula_to_text,
+    parse_formula,
 )
 from .diagnostics import Diagnostic, Severity, SourceSpan
-from .parser import ParseError, parse, parse_formula
+from .parser import ParseError, parse
 
 if TYPE_CHECKING:
     from pathlib import Path

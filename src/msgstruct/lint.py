@@ -23,7 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
-from typing import TYPE_CHECKING
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Mapping
 
 from .core import (
     EnumeratedDomain,
@@ -110,9 +111,9 @@ DEFAULT_WORDLIST = ("amount", "total", "sum")
 
 @dataclass(frozen=True)
 class LintConfig:
-    """Tunable lint behaviour; see ``from_json`` for the file format."""
+    """Tunable lint behaviour, frozen down to its severity map; see ``from_json`` for the file format."""
 
-    severity_map: dict[Level, Severity | None] = dc_field(
+    severity_map: Mapping[Level, Severity | None] = dc_field(
         default_factory=lambda: {
             Level.HIGHLY_RECOMMENDED: None,
             Level.RECOMMENDED: None,
@@ -124,6 +125,7 @@ class LintConfig:
     report_missing: bool = False
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "severity_map", MappingProxyType(dict(self.severity_map)))
         ranks = [
             _SEVERITY_ORDER[self.severity_map[level]]
             for level in (Level.DISCOURAGED, Level.NOT_RECOMMENDED, Level.RECOMMENDED, Level.HIGHLY_RECOMMENDED)

@@ -46,23 +46,23 @@ from .core import (
     Acquisition,
     Aggregation,
     BASIC_DOMAIN_KINDS,
-    BinaryOp,
-    Call,
     EMPTY_PROPERTIES,
     Field,
     FieldProperties,
-    FieldRef,
-    Formula,
     Iteration,
     MessageStructure,
-    Number,
     Specialisation,
     Substructure,
-    Text,
     _domain_from_text,
+    _escape,
     _fold,
     _lone_aggregation,
+    _name,
+    _parse_bool,
+    _single_spaced,
     _traverse,
+    _unescape,
+    parse_formula,
 )
 from .diagnostics import Diagnostic, Severity, SourceSpan
 
@@ -72,11 +72,6 @@ __all__ = ["parse", "parse_formula", "to_text", "structure_to_json_obj", "ParseE
 # recurses twice per level and would overflow the interpreter's default
 # 1000-frame stack at about 495 levels; the limit leaves room for callers.
 MAX_NESTING = 300
-
-# The deepest nesting of a formula (see ``_FormulaParser``). A formula at
-# this depth, inside a structure ``MAX_NESTING`` deep, still parses, prints,
-# compares and hashes within the interpreter's default recursion limit.
-_MAX_FORMULA_DEPTH = 64
 
 
 class ParseError(Exception):
@@ -89,11 +84,6 @@ class ParseError(Exception):
 
 def _error(code: str, message: str, span: SourceSpan) -> ParseError:
     return ParseError([Diagnostic(Severity.ERROR, code, message, span)])
-
-
-def _name(gap: str) -> str:
-    """A name: words of letters, digits and hyphens, one run of ``gap`` apart."""
-    return rf"[A-Za-z][A-Za-z0-9-]*(?:{gap}+[A-Za-z0-9][A-Za-z0-9-]*)*"
 
 
 @cache
@@ -110,9 +100,9 @@ def _scanner(tabular: bool) -> tuple[re.Pattern, re.Pattern, re.Pattern, re.Patt
     quoted value or bare value crosses it; only the blanks that lead a
     comment line may hold tabs."""
     if tabular:
-        blank, gap, stop, escaped = r"(?:(?<![^\n])[ \t]+(?=#)|[ \n])", " ", r"\t", r"[^\t]"
+        blank, gap, stop, escaped = r"(?:(?<![^\n])[ \t]+(?=#)|[ \n])", " +", r"\t", r"[^\t]"
     else:
-        blank, gap, stop, escaped = r"[ \t\n]", r"[ \t]", "", r"[\s\S]"
+        blank, gap, stop, escaped = r"[ \t\n]", r"[ \t]+", "", r"[\s\S]"
     ws = rf"{blank}*(?:#[^\n]*(?=\n|\Z){blank}*)*"
     # One token: a name, or a single other character ("" at the end).
     token = rf"{ws}(?:(?P<name>{_name(gap)})|(?P<ch>.?))"
@@ -164,13 +154,11 @@ def _scanner(tabular: bool) -> tuple[re.Pattern, re.Pattern, re.Pattern, re.Patt
 # ``FieldProperties.to_mapping`` gives them.
 _FAST_KEYS = ("op", "domain", "example", "desc", "label", "link", "required", "init", "visible", "formula")
 _ABSENT = (None,) * (len(_FAST_KEYS) - 3)  # no property after op, domain and example
-_WS_RE = re.compile(r"[ \t\n]+")
 # What may stand between a tabular field's name and the tab that ends its
 # structure cell: blanks, separators and closers.
 _OWNER_RE = re.compile(r"[ +|>}\]]*\t")
 # An EXAMPLE VALUE cell: any text, with '"' and '\\' escaped.
 _EXAMPLE_RE = re.compile(r'(?:[^"\\]|\\.)*')
-_UNESCAPE_RE = re.compile(r"\\([\s\S]?)")
 
 _OPENERS = "<{["
 _CLOSERS = ">}]"
@@ -182,27 +170,11 @@ _TAB_HEADER = ("FIELD", "OP", "DOMAIN", "EXAMPLE VALUE")
 # The entries of an annotation or a row's cells: key -> (value, offsets of its text).
 _Entries = dict[str, tuple[str, int, int]]
 
-_ESCAPES = {"\\": "\\\\", '"': '\\"', "\t": "\\t", "\n": "\\n", "\r": "\\r"}
-_UNESCAPES = {"\\": "\\", '"': '"', "'": "'", "t": "\t", "n": "\n", "r": "\r"}
-
-
-def _escape(value: str) -> str:
-    return "".join(_ESCAPES.get(ch, ch) for ch in value)
-
-
-def _unescape(m: re.Match) -> str:
-    return _UNESCAPES.get(m[1], "\\" + m[1])
-
 
 def parse(text: str) -> MessageStructure:
     """Parse one message structure from text (compact or tabular layout)."""
     text = text.lstrip("﻿").replace("\r\n", "\n").replace("\r", "\n")
     return _Parser(text).parse_structure()
-
-
-def parse_formula(text: str) -> Formula:
-    """Parse a derivation/initialisation formula, e.g. ``:Price * :Quantity``."""
-    return _FormulaParser(text).parse()
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +442,7 @@ class _Parser:
                 bad = _EXAMPLE_RE.match(value).end()
                 if bad < len(value):
                     self._fail("P005", f"unescaped {value[bad]!r} in example value", start + bad)
-                entries["example"] = (_UNESCAPE_RE.sub(_unescape, value), start, end)
+                entries["example"] = (_unescape(value), start, end)
             elif column == 3:
                 if value[0] != "(" or self._read_entries(start, entries, end, cell=True) != end:
                     self._fail("P005", "extra properties cell must be a parenthesised annotation", start, end)
@@ -501,7 +473,7 @@ class _Parser:
                 start, end = m.start("quote"), m.end("close")
                 if not m["close"]:
                     self._fail("P005", "unterminated string in annotation", start, end)
-                value = _UNESCAPE_RE.sub(_unescape, m["text"])
+                value = _unescape(m["text"])
             else:
                 start, end = m.span("bare")
                 value = m["bare"].strip()
@@ -547,8 +519,7 @@ def _properties(
     visible=None, formula=None, cell=None,
 ) -> FieldProperties:
     """The properties of the values given, by ``_FAST_KEYS`` name; domain
-    errors quote ``cell``. A bad value raises ``ValueError`` from its rule's
-    owner: a ``core`` constructor, ``parse_formula`` or ``_parse_bool``."""
+    errors quote ``cell``. A bad value raises its ``core`` owner's ``ValueError``."""
     acquisition = None if op is None else Acquisition(op)
     if formula is not None:
         acquisition = Acquisition(op, parse_formula(formula))
@@ -573,127 +544,6 @@ def _domain_cell_text(cell: str) -> str:
     if cell not in BASIC_DOMAIN_KINDS and not cell.startswith(("ref:", "enum:")):
         return "ref:" + cell
     return cell
-
-
-def _single_spaced(name: str) -> str:
-    """A name with one space for each run of blanks between its words."""
-    return _WS_RE.sub(" ", name) if "  " in name or "\t" in name else name
-
-
-def _parse_bool(value: str) -> bool:
-    if value not in ("true", "false"):
-        raise ValueError(f"expected true or false, found {value!r}")
-    return value == "true"
-
-
-# ---------------------------------------------------------------------------
-# Formula parsing
-# ---------------------------------------------------------------------------
-
-
-# One token of a formula: a number, a function name, a ':' field reference,
-# a quoted string, or a single other character ("" at the end).
-_FORMULA_TOKEN_RE = re.compile(
-    r"[ \t\n]*(?P<token>(?P<number>\d+(?:\.\d+)?)|(?P<call>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|:(?P<ref>" + _name(r"[ \t]") + ")?"
-    r"""|(?P<quote>['"])(?P<text>(?:(?!(?P=quote))[^\\]|\\[\s\S]?)*)(?P<close>(?P=quote)?)|.?)"""
-)
-
-
-class _FormulaParser:
-    """Tiny expression grammar: ``+ -`` over ``* /`` over atoms, all
-    left-associative; atoms are ``:Field`` references, numbers, quoted
-    strings, function calls, and parenthesised groups. It reads one token
-    per match of ``_FORMULA_TOKEN_RE``: ``m`` is the match, ``ch`` the
-    token's first character ("" at the end) and ``start`` its offset.
-
-    Each method returns a node with its nesting level: 0 for an atom, and
-    one over the deepest operand for an operator, a call or a group. Past
-    ``_MAX_FORMULA_DEPTH`` the formula is rejected; ``open`` counts the open
-    groups, so the reader's own recursion is bounded too."""
-
-    def __init__(self, text: str):
-        self.text = text
-        self.end = 0
-        self.open = 0
-        self._next()
-
-    def _next(self) -> None:
-        self.m = m = _FORMULA_TOKEN_RE.match(self.text, self.end)
-        self.start, self.end = m.span("token")
-        self.ch = m["token"][:1]
-
-    def parse(self) -> Formula:
-        node, _ = self._expr()
-        if self.ch:
-            raise ValueError(f"unexpected {self.ch!r} at offset {self.start}")
-        return node
-
-    @staticmethod
-    def _level(depth: int) -> int:
-        if depth > _MAX_FORMULA_DEPTH:
-            raise ValueError(f"nested too deep: more than {_MAX_FORMULA_DEPTH} levels")
-        return depth
-
-    def _expr(self, product: bool = False) -> tuple[Formula, int]:
-        """A sum, or with ``product`` a product. Each loops in place over its
-        operators, so a group costs three frames."""
-        node, depth = self._atom() if product else self._expr(True)
-        while self.ch in (("*", "/") if product else ("+", "-")):
-            op = self.ch
-            self._next()
-            right, right_depth = self._atom() if product else self._expr(True)
-            node, depth = BinaryOp(op, node, right), self._level(max(depth, right_depth) + 1)
-        return node, depth
-
-    def _atom(self) -> tuple[Formula, int]:
-        m, ch = self.m, self.ch
-        if ch == "":
-            raise ValueError("formula ends where a value was expected")
-        if ch == "(":
-            self._next()
-            self.open = self._level(self.open + 1)
-            node, depth = self._expr()
-            if self.ch != ")":
-                raise ValueError("missing ')'")
-            self._next()
-            self.open -= 1
-            return node, self._level(depth + 1)
-        if ch == ":":
-            if m["ref"] is None:
-                raise ValueError("':' must be followed by a field name")
-            self._next()
-            return FieldRef(_WS_RE.sub(" ", m["ref"])), 0
-        if m["quote"]:
-            if not m["close"]:
-                raise ValueError("unterminated string")
-            self._next()
-            return Text(_UNESCAPE_RE.sub(_unescape, m["text"])), 0
-        if m["number"]:
-            self._next()
-            raw = m["number"]
-            return Number(float(raw) if "." in raw else int(raw)), 0
-        if m["call"]:
-            name = m["call"]
-            self._next()
-            if self.ch != "(":
-                raise ValueError(f"function name {name!r} must be followed by '('")
-            self._next()
-            self.open = self._level(self.open + 1)
-            args: list[Formula] = []
-            depth = 0
-            while self.ch != ")":
-                if args:
-                    if self.ch != ",":
-                        raise ValueError("expected ',' or ')' in argument list")
-                    self._next()
-                arg, arg_depth = self._expr()
-                args.append(arg)
-                depth = max(depth, arg_depth)
-            self._next()
-            self.open -= 1
-            return Call(name, tuple(args)), self._level(depth + 1)
-        raise ValueError(f"unexpected {ch!r} in formula")
 
 
 # ---------------------------------------------------------------------------

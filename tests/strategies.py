@@ -70,8 +70,10 @@ value_texts = st.text(
 def formulas(draw, depth: int = 2):
     atoms = [
         st.builds(FieldRef, names()),
-        st.builds(Number, st.integers(0, 999)),
-        st.builds(Number, st.integers(0, 9999).map(lambda n: n / 100)),
+        # Every number the grammar reads: below 1e-4 and from 1e16 up,
+        # ``repr`` writes an exponent, which the printer must not.
+        st.builds(Number, st.integers(0, 10**30)),
+        st.builds(Number, st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)),
         st.builds(Text, value_texts),
         st.builds(
             Call,

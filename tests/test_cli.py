@@ -29,6 +29,17 @@ def test_parse_json_is_valid_and_stable(run_cli, corpus_dir):
     assert first.stdout == second.stdout
 
 
+def test_parse_reads_its_own_output_of_a_small_number(run_cli, tmp_path):
+    (tmp_path / "a.ms").write_text('A=<x (op=d; formula="0.00001")>\n', encoding="utf-8")
+    first = run_cli("parse", "a.ms", cwd=tmp_path)
+    assert first.returncode == 0, first.stderr
+    assert 'formula="0.00001"' in first.stdout
+    (tmp_path / "b.ms").write_text(first.stdout, encoding="utf-8")
+    second = run_cli("parse", "b.ms", cwd=tmp_path)
+    assert second.returncode == 0, second.stderr
+    assert second.stdout == first.stdout
+
+
 def test_parse_reports_diagnostics_on_stderr(run_cli, corpus_dir):
     result = run_cli("parse", "vehicle_a.ms", cwd=corpus_dir)
     assert result.returncode == 1

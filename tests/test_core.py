@@ -12,6 +12,7 @@ from conftest import SUGAR_FORMS
 from msgstruct.core import (
     Acquisition,
     Aggregation,
+    BasicDomain,
     EnumeratedDomain,
     Field,
     FieldProperties,
@@ -26,7 +27,8 @@ from msgstruct.core import (
     iter_fields,
     walk,
 )
-from msgstruct.derive import CommunicativeEvent, DerivationError, derive_view
+from msgstruct.derive import ClassDiagram, CommunicativeEvent, DerivationError, derive_view, export_diagram
+from msgstruct.diagnostics import SourceSpan
 from msgstruct.fragment import fragment_1nf
 from msgstruct.lint import Phase, guideline_checks, lint
 from msgstruct.parser import parse, structure_to_json_obj, to_text
@@ -148,31 +150,50 @@ def test_specialisation_walk_covers_variants(assignment):
     ]
 
 
-@pytest.mark.parametrize(
-    "build",
-    [
-        lambda: Aggregation("A", ()),
-        lambda: Iteration(None, ()),
-        lambda: Specialisation(None, ()),
-        lambda: Specialisation(None, ((),)),
-        lambda: Field("9tail"),
-        lambda: Field(""),
-        lambda: MessageStructure("", Aggregation(None, (Field("a"),))),
-        lambda: Acquisition("x"),
-        lambda: Acquisition("i", formula=()),
-        lambda: ReferenceDomain("9x"),
-        lambda: ReferenceDomain(""),
-        lambda: EnumeratedDomain(("9",)),
-        lambda: EnumeratedDomain(("a", "a")),
-        lambda: FieldProperties(memory_link="bad"),
-        # Flags are tested by type: 0 in (True, False) holds.
-        lambda: FieldProperties(compulsory="no"),
-        lambda: FieldProperties(visible=0),
-    ],
-)
+_ONE = (Field("a"),)
+
+# Each ill-formed input, and the message of the ValueError it raises.
+_ILL_FORMED = {
+    (lambda: Aggregation("A", ())): "complex substructure needs at least one child",
+    (lambda: Iteration(None, ())): "complex substructure needs at least one child",
+    (lambda: Specialisation(None, ())): "specialisation needs at least one variant",
+    (lambda: Specialisation(None, ((),))): "specialisation variant may not be empty",
+    (lambda: Field("9tail")): "invalid field name '9tail'",
+    (lambda: Field("")): "invalid field name ''",
+    (lambda: MessageStructure("", Aggregation(None, _ONE))): "invalid structure name ''",
+    (lambda: Acquisition("x")): "unknown acquisition operation 'x'",
+    (lambda: Acquisition("i", formula=())): "a derivation formula requires op=d",
+    (lambda: ReferenceDomain("9x")): "reference domain needs a type name: 'ref:9x'",
+    (lambda: ReferenceDomain("")): "reference domain needs a type name: 'ref:'",
+    (lambda: EnumeratedDomain(("9",))): "bad enumerated domain: 'enum:9'",
+    (lambda: EnumeratedDomain(("a", "a"))): "duplicate literals in enumerated domain: 'enum:a|a'",
+    (lambda: FieldProperties(memory_link="bad")): "link must be 'Entity.attribute': 'bad'",
+    # Flags are tested by type: 0 in (True, False) holds.
+    (lambda: FieldProperties(compulsory="no")): "compulsory must be True, False or None, found 'no'",
+    (lambda: FieldProperties(visible=0)): "visible must be True, False or None, found 0",
+    (lambda: BasicDomain("blob")): "unknown basic domain 'blob'",
+    (lambda: Aggregation("9x", _ONE)): "invalid substructure name '9x'",
+    (lambda: Specialisation("9x", (_ONE,))): "invalid substructure name '9x'",
+    (lambda: SourceSpan(2, 1, 1, 1)): "span end precedes start: 2:1",
+    (lambda: CommunicativeEvent("E", "e", -1, MessageStructure("A", Aggregation(None, _ONE)))): (
+        "event order must be >= 0"
+    ),
+    (lambda: to_text(MessageStructure("A", Aggregation(None, _ONE)), "xml")): "unknown style 'xml'",
+    (lambda: export_diagram(ClassDiagram(), "svg")): "unknown diagram format 'svg'",
+}
+
+
+@pytest.mark.parametrize("build", list(_ILL_FORMED))
 def test_ill_formed_nodes_are_rejected(build):
-    with pytest.raises((ValueError, TypeError)):
+    with pytest.raises(ValueError) as exc:
         build()
+    assert str(exc.value) == _ILL_FORMED[build]
+
+
+def test_nodes_of_different_kinds_are_unequal():
+    # ``==`` across node classes falls back to identity, so it is False.
+    assert (Field("a") == Aggregation(None, (Field("a"),))) is False
+    assert Aggregation(None, _ONE) != Iteration(None, _ONE)
 
 
 def test_multi_word_names_allowed():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import strategies as strat
 from conftest import SUGAR_FORMS
+from msgstruct.core import BinaryOp, FieldRef, Number
 from msgstruct.derive import (
     Association,
     Attribute,
@@ -340,6 +341,15 @@ def test_json_round_trip(order_view, assignment):
     for view in (order_view, derive_view(_event(assignment))):
         recovered = diagram_from_json_obj(json.loads(export_diagram(view, "json")))
         assert recovered == view
+
+
+def test_json_round_trip_of_a_formula_with_a_small_number():
+    view = derive_view(_event(parse('A=<y (op=i) + x (op=d; formula="0.00001 * :y")>')))
+    text = export_diagram(view, "json")
+    assert '"0.00001 * :y"' in text
+    recovered = diagram_from_json_obj(json.loads(text))
+    assert recovered == view
+    assert recovered.classes[0].attributes[1].formula == BinaryOp("*", Number(0.00001), FieldRef("y"))
 
 
 def test_derivation_runs_on_the_canonical_form():

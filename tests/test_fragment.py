@@ -131,6 +131,8 @@ def test_fragment_json_shape(order):
 
 
 def test_invariants_on_the_types():
+    with pytest.raises(ValueError, match="^fragment depth must be >= 0$"):
+        Fragment("x", -1, ())
     with pytest.raises(ValueError):
         Fragment("x", 1, (), parent_key=None)  # depth 1 needs a parent
     with pytest.raises(ValueError):

@@ -165,6 +165,20 @@ def test_unknown_config_values_are_rejected():
         LintConfig.from_json({"report_missing": "false"})
 
 
+def test_a_config_keeps_its_severity_map():
+    # The map is read-only: an edit would skip the order check and change
+    # every later call that takes the default config.
+    default = lint(parse('A=<x (op=i; label="L")>'), Phase.ANALYSIS)
+    assert [d.code for d in default] == ["L-LABEL"]
+    with pytest.raises(TypeError):
+        LintConfig().severity_map[Level.DISCOURAGED] = None
+    given = dict(LintConfig().severity_map)
+    config = LintConfig(severity_map=given)
+    given[Level.DISCOURAGED], given[Level.HIGHLY_RECOMMENDED] = None, Severity.ERROR
+    assert config == LintConfig()
+    assert lint(parse('A=<x (op=i; label="L")>'), Phase.ANALYSIS, config) == default
+
+
 # ---------------------------------------------------------------------------
 # Guideline checks
 # ---------------------------------------------------------------------------

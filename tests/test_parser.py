@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import msgstruct.core as core
+
 from conftest import (
     ORDER_TABLE,
     ORDER_TEXT,
@@ -29,6 +31,7 @@ from msgstruct.core import (
     Number,
     ReferenceDomain,
     Specialisation,
+    _parse_bool,
     canonicalize,
     equivalent,
     formula_to_text,
@@ -39,7 +42,6 @@ from msgstruct.parser import (
     MAX_NESTING,
     ParseError,
     _FAST_KEYS,
-    _parse_bool,
     parse,
     parse_formula,
     structure_to_json_obj,
@@ -290,12 +292,19 @@ def test_formula_subtraction_groups_left():
         (":a / (:b * :c)", ":a / (:b * :c)"),
         # Subtraction groups left, so the left operand needs no parentheses.
         ("(:a - :b) - :c", ":a - :b - :c"),
+        # Numbers are written as the number token reads them: no exponent.
+        ("0.00001", "0.00001"),
+        ("10000000000000000.0", "10000000000000000.0"),
     ],
 )
 def test_formula_printing_keeps_only_the_parentheses_it_needs(text, printed):
     formula = parse_formula(text)
     assert formula_to_text(formula) == printed
     assert parse_formula(printed) == formula
+
+
+def test_the_formula_reader_is_the_one_in_core():
+    assert parse_formula is core.parse_formula
 
 
 # A formula nests at most 64 levels: each operator, call and parenthesised
