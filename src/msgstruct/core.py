@@ -13,10 +13,9 @@ and property values is read and written here; the parser only locates it.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
 from typing import Iterator, Union
 
-from .diagnostics import SourceSpan
+from .diagnostics import SourceSpan, _Record, _replace, _set
 
 
 def _name(gap: str) -> str:
@@ -65,42 +64,52 @@ def _unescape(text: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FieldRef:
+class FieldRef(_Record):
     """Reference to a sibling field's value, written ``:Field name``."""
 
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        _set(self, "name", name)
 
 
-@dataclass(frozen=True)
-class Number:
+class Number(_Record):
     """Numeric literal in a formula, e.g. ``100`` or ``0.21``."""
 
-    value: Union[int, float]
+    __slots__ = ("value",)
+
+    def __init__(self, value: Union[int, float]) -> None:
+        _set(self, "value", value)
 
 
-@dataclass(frozen=True)
-class Text:
+class Text(_Record):
     """Quoted string literal in a formula, e.g. ``'EUR'``."""
 
-    value: str
+    __slots__ = ("value",)
+
+    def __init__(self, value: str) -> None:
+        _set(self, "value", value)
 
 
-@dataclass(frozen=True)
-class BinaryOp:
+class BinaryOp(_Record):
     """Arithmetic on two sub-formulas, e.g. ``:Price * :Quantity``."""
 
-    op: str  # one of + - * /
-    left: "Formula"
-    right: "Formula"
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left: Formula, right: Formula) -> None:
+        _set(self, "op", op)  # one of + - * /
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Call:
+class Call(_Record):
     """Function application, e.g. ``today()``."""
 
-    name: str
-    args: tuple["Formula", ...] = ()
+    __slots__ = ("name", "args")
+
+    def __init__(self, name: str, args: tuple[Formula, ...] = ()) -> None:
+        _set(self, "name", name)
+        _set(self, "args", args)
 
 
 Formula = Union[FieldRef, Number, Text, BinaryOp, Call]
@@ -268,35 +277,35 @@ class _FormulaParser:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BasicDomain:
+class BasicDomain(_Record):
     """One of the five basic data domains: text, number, money, date, time."""
 
-    kind: str
+    __slots__ = ("kind",)
 
-    def __post_init__(self) -> None:
-        if self.kind not in BASIC_DOMAIN_KINDS:
-            raise ValueError(f"unknown basic domain {self.kind!r}")
+    def __init__(self, kind: str) -> None:
+        if kind not in BASIC_DOMAIN_KINDS:
+            raise ValueError(f"unknown basic domain {kind!r}")
+        _set(self, "kind", kind)
 
 
-@dataclass(frozen=True)
-class ReferenceDomain:
+class ReferenceDomain(_Record):
     """Domain of a reference field: a type of business object."""
 
-    target: str
+    __slots__ = ("target",)
 
-    def __post_init__(self) -> None:
-        _check_reference(self.target)
+    def __init__(self, target: str) -> None:
+        _check_reference(target)
+        _set(self, "target", target)
 
 
-@dataclass(frozen=True)
-class EnumeratedDomain:
+class EnumeratedDomain(_Record):
     """Closed set of literal values, e.g. ``enum:theo|prac``."""
 
-    literals: tuple[str, ...]
+    __slots__ = ("literals",)
 
-    def __post_init__(self) -> None:
-        _check_literals(self.literals)
+    def __init__(self, literals: tuple[str, ...]) -> None:
+        _check_literals(literals)
+        _set(self, "literals", literals)
 
 
 Domain = Union[BasicDomain, ReferenceDomain, EnumeratedDomain]
@@ -363,43 +372,64 @@ def _domain_from_text(text: str, written: str | None = None) -> Domain:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Acquisition:
+class Acquisition(_Record):
     """Provenance of a field's value: input 'i', generation 'g', or
     derivation 'd' (which may carry a derivation formula)."""
 
-    op: str
-    formula: Formula | None = None
+    __slots__ = ("op", "formula")
 
-    def __post_init__(self) -> None:
-        if self.formula is not None and self.op != "d":
+    def __init__(self, op: str, formula: Formula | None = None) -> None:
+        if formula is not None and op != "d":
             raise ValueError("a derivation formula requires op=d")
-        if self.op not in ("i", "g", "d"):
-            raise ValueError(f"unknown acquisition operation {self.op!r}")
+        if op not in ("i", "g", "d"):
+            raise ValueError(f"unknown acquisition operation {op!r}")
+        _set(self, "op", op)
+        _set(self, "formula", formula)
 
 
-@dataclass(frozen=True, slots=True)
-class FieldProperties:
+class FieldProperties(_Record):
     """The annotations of one field: acquisition, domain, example,
     description, label, memory link, compulsoriness, initialisation and
     visibility; ``None`` marks a property left unstated."""
 
-    acquisition: Acquisition | None = None
-    domain: Domain | None = None
-    example: str | None = None
-    description: str | None = None
-    label: str | None = None
-    memory_link: str | None = None
-    compulsory: bool | None = None
-    initialisation: Formula | None = None
-    visible: bool | None = None
+    __slots__ = (
+        "acquisition",
+        "domain",
+        "example",
+        "description",
+        "label",
+        "memory_link",
+        "compulsory",
+        "initialisation",
+        "visible",
+    )
 
-    def __post_init__(self) -> None:
-        if self.memory_link is not None:
-            _check_link(self.memory_link)
-        for key, flag in (("compulsory", self.compulsory), ("visible", self.visible)):
+    def __init__(
+        self,
+        acquisition: Acquisition | None = None,
+        domain: Domain | None = None,
+        example: str | None = None,
+        description: str | None = None,
+        label: str | None = None,
+        memory_link: str | None = None,
+        compulsory: bool | None = None,
+        initialisation: Formula | None = None,
+        visible: bool | None = None,
+    ) -> None:
+        if memory_link is not None:
+            _check_link(memory_link)
+        for key, flag in (("compulsory", compulsory), ("visible", visible)):
             if flag is not None and not isinstance(flag, bool):
                 raise ValueError(f"{key} must be True, False or None, found {flag!r}")
+        _set(self, "acquisition", acquisition)
+        _set(self, "domain", domain)
+        _set(self, "example", example)
+        _set(self, "description", description)
+        _set(self, "label", label)
+        _set(self, "memory_link", memory_link)
+        _set(self, "compulsory", compulsory)
+        _set(self, "initialisation", initialisation)
+        _set(self, "visible", visible)
 
     def to_mapping(self) -> dict[str, str]:
         """Present properties as annotation key/value text, in print order."""
@@ -440,7 +470,7 @@ def _check_link(link: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-class _Node:
+class _Node(_Record):
     """Structural equality for the tree's nodes: equal class and equal flat
     keys, read off ``walk`` without recursion. A key has one entry per node
     (kind, name, and a field's properties or a complex node's child counts)
@@ -468,57 +498,61 @@ class _Node:
         return hash(self._key())
 
 
-@dataclass(frozen=True, eq=False, slots=True)
 class Field(_Node):
     """Leaf element: a basic informational unit of the message."""
 
-    name: str
-    properties: FieldProperties = EMPTY_PROPERTIES
-    span: SourceSpan | None = None
+    __slots__ = ("name", "properties", "span")
 
-    def __post_init__(self) -> None:
-        if not IDENTIFIER_RE.fullmatch(self.name):
-            raise ValueError(f"invalid field name {self.name!r}")
+    def __init__(
+        self, name: str, properties: FieldProperties = EMPTY_PROPERTIES, span: SourceSpan | None = None
+    ) -> None:
+        if not IDENTIFIER_RE.fullmatch(name):
+            raise ValueError(f"invalid field name {name!r}")
+        _set(self, "name", name)
+        _set(self, "properties", properties)
+        _set(self, "span", span)
 
 
-@dataclass(frozen=True, eq=False, slots=True)
 class Aggregation(_Node):
     """Ordered grouping ``< a + b + ... >``; the parts remain one whole."""
 
-    name: str | None
-    children: tuple["Substructure", ...]
-    span: SourceSpan | None = None
+    __slots__ = ("name", "children", "span")
 
-    def __post_init__(self) -> None:
-        _check_complex(self.name, self.children)
+    def __init__(self, name: str | None, children: tuple[Substructure, ...], span: SourceSpan | None = None) -> None:
+        _check_complex(name, children)
+        _set(self, "name", name)
+        _set(self, "children", children)
+        _set(self, "span", span)
 
 
-@dataclass(frozen=True, eq=False, slots=True)
 class Iteration(_Node):
     """Repetition ``{ ... }``: a set of the contained substructure list."""
 
-    name: str | None
-    children: tuple["Substructure", ...]
-    span: SourceSpan | None = None
+    __slots__ = ("name", "children", "span")
 
-    def __post_init__(self) -> None:
-        _check_complex(self.name, self.children)
+    def __init__(self, name: str | None, children: tuple[Substructure, ...], span: SourceSpan | None = None) -> None:
+        _check_complex(name, children)
+        _set(self, "name", name)
+        _set(self, "children", children)
+        _set(self, "span", span)
 
 
-@dataclass(frozen=True, eq=False, slots=True)
 class Specialisation(_Node):
     """Structural alternatives ``[ a | b ]``; a single variant expresses
     optionality of its content."""
 
-    name: str | None
-    variants: tuple[tuple["Substructure", ...], ...]
-    span: SourceSpan | None = None
+    __slots__ = ("name", "variants", "span")
 
-    def __post_init__(self) -> None:
-        _check_complex(self.name, self.variants, "specialisation needs at least one variant")
-        for variant in self.variants:
+    def __init__(
+        self, name: str | None, variants: tuple[tuple[Substructure, ...], ...], span: SourceSpan | None = None
+    ) -> None:
+        _check_complex(name, variants, "specialisation needs at least one variant")
+        for variant in variants:
             if not variant:
                 raise ValueError("specialisation variant may not be empty")
+        _set(self, "name", name)
+        _set(self, "variants", variants)
+        _set(self, "span", span)
 
 
 def _check_complex(name: str | None, parts: tuple, empty="complex substructure needs at least one child") -> None:
@@ -531,22 +565,22 @@ def _check_complex(name: str | None, parts: tuple, empty="complex substructure n
 Substructure = Union[Field, Aggregation, Iteration, Specialisation]
 
 
-@dataclass(frozen=True, eq=False, slots=True)
 class MessageStructure(_Node):
     """Named root of the tree. The initial substructure is an aggregation or
     an iteration; any other root raises ``ValueError``, which the parser
     reports as P004."""
 
-    name: str
-    root: Aggregation | Iteration
-    span: SourceSpan | None = None
+    __slots__ = ("name", "root", "span")
 
-    def __post_init__(self) -> None:
-        if not IDENTIFIER_RE.fullmatch(self.name):
-            raise ValueError(f"invalid structure name {self.name!r}")
-        if not isinstance(self.root, (Aggregation, Iteration)):
-            kind = type(self.root).__name__.lower()
+    def __init__(self, name: str, root: Aggregation | Iteration, span: SourceSpan | None = None) -> None:
+        if not IDENTIFIER_RE.fullmatch(name):
+            raise ValueError(f"invalid structure name {name!r}")
+        if not isinstance(root, (Aggregation, Iteration)):
+            kind = type(root).__name__.lower()
             raise ValueError(f"a {kind} cannot be the initial substructure")
+        _set(self, "name", name)
+        _set(self, "root", root)
+        _set(self, "span", span)
 
 
 # ---------------------------------------------------------------------------
@@ -561,8 +595,8 @@ def walk(node: MessageStructure | Substructure) -> Iterator[Substructure]:
     order, and the children of each variant in order. The traversal keeps
     an explicit stack, so it is linear in the number of nodes at any depth
     and never meets the interpreter's recursion limit. So do node ``==``
-    and ``hash``, which compare keys read off this walk, and every stage
-    built on ``_traverse``; only ``repr`` still recurses.
+    and ``hash``, which compare keys read off this walk, every stage built
+    on ``_traverse``, and ``repr``, which keeps a stack of its own.
     """
     stack = [node.root if isinstance(node, MessageStructure) else node]
     while stack:
@@ -659,7 +693,7 @@ def canonicalize(ms: MessageStructure) -> MessageStructure:
         variants = tuple((_wrap(variant, item.span),) for variant in parts)
         return Specialisation(None, variants, span=item.span)
 
-    return replace(ms, root=_fold(ms.root, build))
+    return _replace(ms, root=_fold(ms.root, build))
 
 
 def _wrap(items: tuple[Substructure, ...], span: SourceSpan | None) -> Aggregation:

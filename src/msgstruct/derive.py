@@ -34,7 +34,6 @@ Errors:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 from .core import (
@@ -53,7 +52,7 @@ from .core import (
     formula_to_text,
     parse_formula,
 )
-from .diagnostics import Diagnostic, Severity, SourceSpan
+from .diagnostics import Diagnostic, Severity, SourceSpan, _Record, _replace, _set
 from .parser import ParseError, parse
 
 if TYPE_CHECKING:
@@ -85,8 +84,7 @@ class DerivationError(Exception):
         self.diagnostic = diagnostic
 
 
-@dataclass(frozen=True)
-class CommunicativeEvent:
+class CommunicativeEvent(_Record, compare=("id", "name", "order", "structure")):
     """A business-process activity feeding new information to the system.
 
     ``order`` ranks events by temporal precedence; ties break on ``id``.
@@ -94,57 +92,85 @@ class CommunicativeEvent:
     without it.
     """
 
-    id: str
-    name: str
-    order: int
-    structure: MessageStructure
-    file: str | None = field(default=None, compare=False)
+    __slots__ = ("id", "name", "order", "structure", "file")
 
-    def __post_init__(self) -> None:
-        if self.order < 0:
+    def __init__(self, id: str, name: str, order: int, structure: MessageStructure, file: str | None = None) -> None:
+        if order < 0:
             raise ValueError("event order must be >= 0")
+        _set(self, "id", id)
+        _set(self, "name", name)
+        _set(self, "order", order)
+        _set(self, "structure", structure)
+        _set(self, "file", file)
 
 
-@dataclass(frozen=True)
-class Attribute:
+class Attribute(_Record):
     """An attribute of a derived class: name, domain, acquisition operation,
     derivation formula, and whether a value may be absent."""
 
-    name: str
-    domain: Domain | None = None
-    acquisition: str | None = None  # 'i' | 'g' | 'd'
-    formula: Formula | None = None
-    optional: bool = False
+    __slots__ = ("name", "domain", "acquisition", "formula", "optional")
+
+    def __init__(
+        self,
+        name: str,
+        domain: Domain | None = None,
+        acquisition: str | None = None,  # 'i' | 'g' | 'd'
+        formula: Formula | None = None,
+        optional: bool = False,
+    ) -> None:
+        _set(self, "name", name)
+        _set(self, "domain", domain)
+        _set(self, "acquisition", acquisition)
+        _set(self, "formula", formula)
+        _set(self, "optional", optional)
 
 
-@dataclass(frozen=True)
-class ClassSpec:
+class ClassSpec(_Record):
     """A class of the diagram: its name, how it arose (defined, referenced
     or subclass), its attributes, and the superclass of a subclass."""
 
-    name: str
-    kind: str  # defined | referenced | subclass
-    attributes: tuple[Attribute, ...] = ()
-    parent: str | None = None
+    __slots__ = ("name", "kind", "attributes", "parent")
+
+    def __init__(
+        self,
+        name: str,
+        kind: str,  # defined | referenced | subclass
+        attributes: tuple[Attribute, ...] = (),
+        parent: str | None = None,
+    ) -> None:
+        _set(self, "name", name)
+        _set(self, "kind", kind)
+        _set(self, "attributes", attributes)
+        _set(self, "parent", parent)
 
 
-@dataclass(frozen=True)
-class Association:
+class Association(_Record):
     """A directed association between two classes: composition, reference or
     generalisation, with the multiplicity at the target."""
 
-    source: str
-    target: str
-    kind: str  # composition | reference | generalisation
-    multiplicity: str | None = None  # one | many (generalisations carry none)
+    __slots__ = ("source", "target", "kind", "multiplicity")
+
+    def __init__(
+        self,
+        source: str,
+        target: str,
+        kind: str,  # composition | reference | generalisation
+        multiplicity: str | None = None,  # one | many (generalisations carry none)
+    ) -> None:
+        _set(self, "source", source)
+        _set(self, "target", target)
+        _set(self, "kind", kind)
+        _set(self, "multiplicity", multiplicity)
 
 
-@dataclass(frozen=True)
-class ClassDiagram:
+class ClassDiagram(_Record):
     """The classes and associations derived from one or more events."""
 
-    classes: tuple[ClassSpec, ...] = ()
-    associations: tuple[Association, ...] = ()
+    __slots__ = ("classes", "associations")
+
+    def __init__(self, classes: tuple[ClassSpec, ...] = (), associations: tuple[Association, ...] = ()) -> None:
+        _set(self, "classes", classes)
+        _set(self, "associations", associations)
 
 
 def class_name(raw: str) -> str:
@@ -228,7 +254,7 @@ class _ViewBuilder:
         elif attr.domain is None:
             return
         elif seen.domain is None:
-            attrs[attr.name] = replace(
+            attrs[attr.name] = _replace(
                 seen,
                 domain=attr.domain,
                 acquisition=seen.acquisition or attr.acquisition,
@@ -253,7 +279,7 @@ class _ViewBuilder:
         if seen is None:
             self.associations[key] = assoc
         elif seen.multiplicity != assoc.multiplicity:
-            self.associations[key] = replace(seen, multiplicity="many")
+            self.associations[key] = _replace(seen, multiplicity="many")
 
     def build(self) -> ClassDiagram:
         classes = tuple(

@@ -1,23 +1,137 @@
-"""Source positions and diagnostics shared by the parser, linter, and deriver."""
+"""Source positions and diagnostics shared by the parser, linter, and deriver,
+and the frozen record base that every model type of the package builds on."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
+
+# Sets a field of a record in its ``__init__``, past the frozen ``__setattr__``.
+_set = object.__setattr__
 
 
-@dataclass(frozen=True, slots=True)
-class SourceSpan:
+def _replace(record, /, **changes):
+    """A copy of ``record`` with some fields changed, as ``dataclasses.replace``
+    makes it: through the class's own constructor, which checks the result."""
+    for name in record.__match_args__:
+        changes.setdefault(name, getattr(record, name))
+    return type(record)(**changes)
+
+
+class _DataclassFields:
+    """A record class's ``__dataclass_fields__``, made on first use from its
+    slots and its ``__init__`` defaults, so that ``dataclasses.replace``,
+    ``fields``, ``asdict`` and ``is_dataclass`` accept records while no
+    command imports ``dataclasses``."""
+
+    def __get__(self, record, cls):
+        import dataclasses
+
+        names = cls.__match_args__
+        init = cls.__init__
+        defaults = dict(zip(reversed(names), reversed(init.__defaults__ or ())))
+        made = dataclasses.make_dataclass(
+            cls.__name__,
+            [
+                (
+                    name,
+                    init.__annotations__.get(name, object),
+                    dataclasses.field(default=defaults.get(name, dataclasses.MISSING), compare=name in cls._eq_fields),
+                )
+                for name in names
+            ],
+            frozen=True,
+        )
+        cls.__dataclass_fields__ = made.__dataclass_fields__
+        return made.__dataclass_fields__
+
+
+class _Record:
+    """Base of the frozen records. A record class lists its fields in
+    ``__slots__``, in constructor order, and sets them in its own
+    ``__init__`` through ``_set``. The base gives what ``@dataclass(frozen=True)``
+    gave: immutability, ``==`` and ``hash`` over the fields (or over the
+    ``compare`` names of the class statement), positional patterns, the
+    ``repr`` text, copying and pickling, and the view of the ``dataclasses``
+    functions."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, compare: tuple[str, ...] | None = None) -> None:
+        super().__init_subclass__()
+        if not cls.__slots__:
+            return
+        cls.__match_args__ = cls.__slots__
+        cls._eq_fields = compare or cls.__slots__
+        # With the class in front it is a tuple also for one field, and a
+        # tuple compares its items by identity first, as dataclasses did.
+        cls._eq_key = attrgetter("__class__", *cls._eq_fields)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._eq_key(self) == other._eq_key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._eq_key(self))
+
+    def __getstate__(self) -> list:
+        return [getattr(self, name) for name in self.__match_args__]
+
+    def __setstate__(self, state: list) -> None:
+        for name, value in zip(self.__match_args__, state):
+            _set(self, name, value)
+
+    __replace__ = _replace
+    __dataclass_fields__ = _DataclassFields()
+
+    def __repr__(self) -> str:
+        """``Name(field=value, ...)``, as dataclasses write it. The text is
+        built from an explicit stack of values to write and literal text,
+        descending into records and tuples, so it is written at any depth."""
+        out: list[str] = []
+        stack: list[tuple[bool, object]] = [(False, self)]
+        while stack:
+            literal, item = stack.pop()
+            if literal:
+                out.append(item)
+                continue
+            if isinstance(item, _Record):
+                out.append(type(item).__qualname__ + "(")
+                parts = [(name + "=", getattr(item, name)) for name in item.__match_args__]
+                close = ")"
+            elif type(item) is tuple:
+                out.append("(")
+                parts = [("", value) for value in item]
+                close = ",)" if len(item) == 1 else ")"
+            else:
+                out.append(repr(item))
+                continue
+            stack.append((True, close))
+            for i in reversed(range(len(parts))):
+                label, value = parts[i]
+                stack += (False, value), (True, (", " if i else "") + label)
+        return "".join(out)
+
+
+class SourceSpan(_Record):
     """Region of the input text, 1-based, end-inclusive."""
 
-    start_line: int
-    start_col: int
-    end_line: int
-    end_col: int
+    __slots__ = ("start_line", "start_col", "end_line", "end_col")
 
-    def __post_init__(self) -> None:
-        if (self.end_line, self.end_col) < (self.start_line, self.start_col):
-            raise ValueError(f"span end precedes start: {self}")
+    def __init__(self, start_line: int, start_col: int, end_line: int, end_col: int) -> None:
+        if (end_line, end_col) < (start_line, start_col):
+            raise ValueError(f"span end precedes start: {start_line}:{start_col}-{end_line}:{end_col}")
+        _set(self, "start_line", start_line)
+        _set(self, "start_col", start_col)
+        _set(self, "end_line", end_line)
+        _set(self, "end_col", end_col)
 
     def __str__(self) -> str:
         return f"{self.start_line}:{self.start_col}"
@@ -29,14 +143,16 @@ class Severity(Enum):
     INFO = "info"
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(_Record):
     """One reported finding. Codes are stable across releases for a given rule."""
 
-    severity: Severity
-    code: str
-    message: str
-    span: SourceSpan | None = None
+    __slots__ = ("severity", "code", "message", "span")
+
+    def __init__(self, severity: Severity, code: str, message: str, span: SourceSpan | None = None) -> None:
+        _set(self, "severity", severity)
+        _set(self, "code", code)
+        _set(self, "message", message)
+        _set(self, "span", span)
 
     def render(self, filename: str | None = None) -> str:
         where = filename or "<input>"

@@ -14,8 +14,6 @@ discriminator note, the way single-table inheritance keeps one table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import (
     Field,
     Iteration,
@@ -24,6 +22,7 @@ from .core import (
     _canonical_name,
     _traverse,
 )
+from .diagnostics import _Record, _set
 
 __all__ = [
     "Fragment",
@@ -39,8 +38,7 @@ REGISTRY = "registry"
 SET_OF_REGISTRIES = "set-of-registries"
 
 
-@dataclass(frozen=True)
-class Fragment:
+class Fragment(_Record):
     """A flat run of fields at one iteration-nesting depth.
 
     ``id`` is deterministic: the structure name joined with the names of
@@ -48,31 +46,39 @@ class Fragment:
     depth 0.
     """
 
-    id: str
-    depth: int
-    fields: tuple[Field, ...]
-    parent_key: str | None = None
-    discriminators: tuple[str, ...] = ()
+    __slots__ = ("id", "depth", "fields", "parent_key", "discriminators")
 
-    def __post_init__(self) -> None:
-        if self.depth < 0:
+    def __init__(
+        self,
+        id: str,
+        depth: int,
+        fields: tuple[Field, ...],
+        parent_key: str | None = None,
+        discriminators: tuple[str, ...] = (),
+    ) -> None:
+        if depth < 0:
             raise ValueError("fragment depth must be >= 0")
-        if (self.depth == 0) != (self.parent_key is None):
+        if (depth == 0) != (parent_key is None):
             raise ValueError("exactly the depth-0 fragment has no parent key")
+        _set(self, "id", id)
+        _set(self, "depth", depth)
+        _set(self, "fields", fields)
+        _set(self, "parent_key", parent_key)
+        _set(self, "discriminators", discriminators)
 
 
-@dataclass(frozen=True)
-class AbstractInterfaceStructure:
+class AbstractInterfaceStructure(_Record):
     """A fragment with its interface kind: a registry at depth 0, a set of
     registries below it."""
 
-    fragment: Fragment
-    kind: str  # REGISTRY | SET_OF_REGISTRIES
+    __slots__ = ("fragment", "kind")
 
-    def __post_init__(self) -> None:
-        expected = REGISTRY if self.fragment.depth == 0 else SET_OF_REGISTRIES
-        if self.kind != expected:
-            raise ValueError(f"depth {self.fragment.depth} fragment must be {expected}")
+    def __init__(self, fragment: Fragment, kind: str) -> None:
+        expected = REGISTRY if fragment.depth == 0 else SET_OF_REGISTRIES
+        if kind != expected:
+            raise ValueError(f"depth {fragment.depth} fragment must be {expected}")
+        _set(self, "fragment", fragment)
+        _set(self, "kind", kind)
 
 
 class _FragmentBuilder:

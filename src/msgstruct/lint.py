@@ -21,7 +21,6 @@ The initial substructure is an aggregation or an iteration by construction:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from enum import Enum
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping
@@ -37,7 +36,7 @@ from .core import (
     iter_fields,
     walk,
 )
-from .diagnostics import Diagnostic, Severity
+from .diagnostics import Diagnostic, Severity, _Record, _set
 
 if TYPE_CHECKING:
     from pathlib import Path
@@ -108,26 +107,29 @@ _SEVERITY_NAMES = {
 
 DEFAULT_WORDLIST = ("amount", "total", "sum")
 
+_DEFAULT_SEVERITY_MAP = {
+    Level.HIGHLY_RECOMMENDED: None,
+    Level.RECOMMENDED: None,
+    Level.NOT_RECOMMENDED: Severity.WARNING,
+    Level.DISCOURAGED: Severity.ERROR,
+}
 
-@dataclass(frozen=True)
-class LintConfig:
-    """Tunable lint behaviour, frozen down to its severity map; see ``from_json`` for the file format."""
 
-    severity_map: Mapping[Level, Severity | None] = dc_field(
-        default_factory=lambda: {
-            Level.HIGHLY_RECOMMENDED: None,
-            Level.RECOMMENDED: None,
-            Level.NOT_RECOMMENDED: Severity.WARNING,
-            Level.DISCOURAGED: Severity.ERROR,
-        }
-    )
-    g1_wordlist: tuple[str, ...] = DEFAULT_WORDLIST
-    report_missing: bool = False
+class LintConfig(_Record):
+    """Tunable lint behaviour, frozen down to its severity map (``None``
+    gives the default map); see ``from_json`` for the file format."""
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "severity_map", MappingProxyType(dict(self.severity_map)))
+    __slots__ = ("severity_map", "g1_wordlist", "report_missing")
+
+    def __init__(
+        self,
+        severity_map: Mapping[Level, Severity | None] | None = None,
+        g1_wordlist: tuple[str, ...] = DEFAULT_WORDLIST,
+        report_missing: bool = False,
+    ) -> None:
+        severity_map = MappingProxyType(dict(_DEFAULT_SEVERITY_MAP if severity_map is None else severity_map))
         ranks = [
-            _SEVERITY_ORDER[self.severity_map[level]]
+            _SEVERITY_ORDER[severity_map[level]]
             for level in (Level.DISCOURAGED, Level.NOT_RECOMMENDED, Level.RECOMMENDED, Level.HIGHLY_RECOMMENDED)
         ]
         if ranks != sorted(ranks, reverse=True):
@@ -135,6 +137,13 @@ class LintConfig:
                 "severity overrides must not invert the applicability order "
                 "('--' must report at least as severely as '-', and so on)"
             )
+        _set(self, "severity_map", severity_map)
+        _set(self, "g1_wordlist", g1_wordlist)
+        _set(self, "report_missing", report_missing)
+
+    def __reduce__(self) -> tuple:
+        # A mapping proxy does not pickle; the constructor makes it again.
+        return type(self), (dict(self.severity_map), self.g1_wordlist, self.report_missing)
 
     @classmethod
     def from_json(cls, obj: dict) -> "LintConfig":
@@ -151,7 +160,7 @@ class LintConfig:
         severity = obj.get("severity", {})
         if not isinstance(severity, dict):
             raise ValueError("'severity' must be an object")
-        severity_map = dict(cls().severity_map)
+        severity_map = dict(_DEFAULT_SEVERITY_MAP)
         for symbol, value in severity.items():
             try:
                 level = Level(symbol)

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from dataclasses import replace
 from functools import cache
 from itertools import accumulate
 from typing import NoReturn
@@ -64,7 +63,7 @@ from .core import (
     _unescape,
     parse_formula,
 )
-from .diagnostics import Diagnostic, Severity, SourceSpan
+from .diagnostics import Diagnostic, Severity, SourceSpan, _replace
 
 __all__ = ["parse", "parse_formula", "to_text", "structure_to_json_obj", "ParseError", "MAX_NESTING"]
 
@@ -558,7 +557,7 @@ def to_text(ms: MessageStructure, style: str = "compact") -> str:
     # A name on the root complex cannot be written after "Name =" without
     # re-parsing as a nested element, so it is dropped (names are sugar).
     if ms.root.name is not None:
-        ms = replace(ms, root=replace(ms.root, name=None))
+        ms = _replace(ms, root=_replace(ms.root, name=None))
     if style == "compact":
         return f"{ms.name}={_compact(ms.root)}"
     if style == "tabular":

@@ -496,11 +496,13 @@ def _run_python(code: str, cwd) -> subprocess.CompletedProcess:
 _LOADED_AFTER = """
 import sys
 {statement}
-print(" ".join(m for m in sys.modules if m.startswith("msgstruct.") or m == "json"))
+print(" ".join(m for m in sys.modules if m.startswith("msgstruct.") or m in ("json", "dataclasses", "inspect")))
 """
 
 
-_UNUSED_BY_PARSING = {"msgstruct.derive", "msgstruct.fragment", "json"}
+# The records are not dataclasses, so no command pays for that machinery.
+_UNUSED_BY_ANY = {"dataclasses", "inspect"}
+_UNUSED_BY_PARSING = {"msgstruct.derive", "msgstruct.fragment", "json"} | _UNUSED_BY_ANY
 
 
 @pytest.mark.parametrize(
@@ -510,8 +512,10 @@ _UNUSED_BY_PARSING = {"msgstruct.derive", "msgstruct.fragment", "json"}
         (["canon", "order.ms"], _UNUSED_BY_PARSING | {"msgstruct.lint"}),
         (["equiv", "order.ms", "order.ms"], _UNUSED_BY_PARSING | {"msgstruct.lint"}),
         (["check", "--phase", "analysis", "order.ms"], _UNUSED_BY_PARSING),
+        (["derive", "--events", "events.json"], _UNUSED_BY_ANY | {"msgstruct.fragment"}),
+        (["fragment", "order.ms"], _UNUSED_BY_ANY | {"msgstruct.derive", "msgstruct.lint", "json"}),
     ],
-    ids=["parse", "canon", "equiv", "check"],
+    ids=["parse", "canon", "equiv", "check", "derive-events", "fragment"],
 )
 def test_a_command_loads_only_the_modules_it_runs(corpus_dir, argv, not_loaded):
     statement = f"from msgstruct import cli; cli.main({argv!r})"

@@ -174,7 +174,7 @@ _ILL_FORMED = {
     (lambda: BasicDomain("blob")): "unknown basic domain 'blob'",
     (lambda: Aggregation("9x", _ONE)): "invalid substructure name '9x'",
     (lambda: Specialisation("9x", (_ONE,))): "invalid substructure name '9x'",
-    (lambda: SourceSpan(2, 1, 1, 1)): "span end precedes start: 2:1",
+    (lambda: SourceSpan(2, 1, 1, 1)): "span end precedes start: 2:1-1:1",
     (lambda: CommunicativeEvent("E", "e", -1, MessageStructure("A", Aggregation(None, _ONE)))): (
         "event order must be >= 0"
     ),
@@ -310,7 +310,6 @@ _DEEP = 5000  # far past the parser's MAX_NESTING, which only parse enforces
     ids=["aggregation", "iteration", "specialisation"],
 )
 def test_traversals_of_trees_built_in_code_ignore_depth(wrap, fields, opener, closer):
-    # Only repr still recurses, so it is not used here.
     def chain(depth):
         node = Field("x", FieldProperties(label="X"))
         for _ in range(depth):
@@ -363,3 +362,8 @@ def test_traversals_of_trees_built_in_code_ignore_depth(wrap, fields, opener, cl
     tabular = to_text(ms, "tabular")
     assert sum(map(tabular.count, "<{[")) == sum(map(tabular.count, ">}]")) == _DEEP + 1
     assert [line.split("\t")[-1] for line in tabular.splitlines() if "label" in line] == ['(label="X")']
+
+    text = repr(ms)
+    assert text.startswith("MessageStructure(name='M', root=Aggregation(name=None, children=(")
+    assert sum(map(text.count, ("Aggregation(", "Iteration(", "Specialisation("))) == _DEEP + 1
+    assert text.count("Field(") == len(fields) and text.endswith("span=None),), span=None), span=None)")
