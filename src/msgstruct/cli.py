@@ -4,14 +4,17 @@ Subcommands: parse, canon, check, equiv, derive, fragment. Diagnostics go
 to stderr; artifacts (structures, diagrams, fragment reports) go to stdout,
 so output can be piped. Exit status: 0 success, 1 at least one error-level
 diagnostic (or a negative equiv verdict), 2 usage or I/O problems.
+
+The arguments are read from one table, ``_COMMANDS``, which also gives the
+help and usage text; ``argparse`` is not imported, to keep start-up short.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
-from typing import TYPE_CHECKING
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:
     from .core import MessageStructure
@@ -25,59 +28,29 @@ _PHASES = ["analysis", "design-memory", "design-interface"]
 
 
 class _UsageError(Exception):
-    """Problem with arguments, files, or configuration: exit status 2."""
+    """Problem with arguments, files, or configuration: exit status 2.
+    ``command`` is set when the arguments are at fault: it names the
+    command whose usage line is printed ("" for the program's own)."""
+
+    def __init__(self, message: str, command: str | None = None):
+        super().__init__(message)
+        self.command = command
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        read = _read_argv(sys.argv[1:] if argv is None else argv)
+        if read is None:  # help was printed
+            return 0
+        command, args = read
+        return command(args)
     except _UsageError as exc:
-        print(f"msgstruct: error: {exc}", file=sys.stderr)
+        prog = "msgstruct"
+        if exc.command is not None:
+            print(_usage(exc.command), file=sys.stderr)
+            prog = f"{prog} {exc.command}".rstrip()
+        print(f"{prog}: error: {exc}", file=sys.stderr)
         return 2
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="msgstruct",
-        description="Parse, check, compare, and transform message structures.",
-    )
-    sub = parser.add_subparsers(required=True, metavar="command")
-
-    p = sub.add_parser("parse", help="parse a .ms file and print it back")
-    p.add_argument("file")
-    p.add_argument("--json", action="store_true", help="print the tree as JSON")
-    p.set_defaults(func=_cmd_parse)
-
-    p = sub.add_parser("canon", help="print the canonical form of a .ms file")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_canon)
-
-    p = sub.add_parser("check", help="lint a .ms file for a development phase")
-    p.add_argument("file")
-    p.add_argument("--phase", required=True, choices=_PHASES)
-    p.add_argument("--config", help="lint configuration JSON (default: $MSGSTRUCT_CONFIG)")
-    p.add_argument("--json", action="store_true", help="print diagnostics as JSON")
-    p.set_defaults(func=_cmd_check)
-
-    p = sub.add_parser("equiv", help="compare two .ms files for equivalence")
-    p.add_argument("file_a")
-    p.add_argument("file_b")
-    p.set_defaults(func=_cmd_equiv)
-
-    p = sub.add_parser("derive", help="derive a class diagram from an events manifest")
-    p.add_argument("--events", required=True, help="JSON manifest of {id,name,order,file}")
-    p.add_argument("--format", choices=["json", "plantuml"], default="json")
-    p.add_argument("--force", action="store_true", help="derive even with lint errors")
-    p.add_argument("--config", help="lint configuration JSON (default: $MSGSTRUCT_CONFIG)")
-    p.set_defaults(func=_cmd_derive)
-
-    p = sub.add_parser("fragment", help="fragment a .ms file into interface structures")
-    p.add_argument("file")
-    p.add_argument("--json", action="store_true", help="print fragments as JSON")
-    p.set_defaults(func=_cmd_fragment)
-
-    return parser
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +145,7 @@ def _json_text(obj: object) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_parse(args: argparse.Namespace) -> int:
+def _cmd_parse(args: SimpleNamespace) -> int:
     from .parser import structure_to_json_obj, to_text
 
     ms = _parse_or_report(args.file)
@@ -185,7 +158,7 @@ def _cmd_parse(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_canon(args: argparse.Namespace) -> int:
+def _cmd_canon(args: SimpleNamespace) -> int:
     from .core import canonicalize
     from .parser import to_text
 
@@ -196,7 +169,7 @@ def _cmd_canon(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
+def _cmd_check(args: SimpleNamespace) -> int:
     from .diagnostics import has_errors
     from .lint import Phase, guideline_checks, lint
 
@@ -234,7 +207,7 @@ def _summarise(diagnostics: list[Diagnostic]) -> str:
     )
 
 
-def _cmd_equiv(args: argparse.Namespace) -> int:
+def _cmd_equiv(args: SimpleNamespace) -> int:
     from .core import equivalent
 
     ms_a = _parse_or_report(args.file_a)
@@ -248,7 +221,7 @@ def _cmd_equiv(args: argparse.Namespace) -> int:
     return 1
 
 
-def _cmd_derive(args: argparse.Namespace) -> int:
+def _cmd_derive(args: SimpleNamespace) -> int:
     from .derive import (
         DerivationError,
         _ManifestParseError,
@@ -303,7 +276,7 @@ def _cmd_derive(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_fragment(args: argparse.Namespace) -> int:
+def _cmd_fragment(args: SimpleNamespace) -> int:
     from .fragment import assign_abstract, fragment_1nf, fragments_to_json_obj
 
     ms = _parse_or_report(args.file)
@@ -321,3 +294,127 @@ def _cmd_fragment(args: argparse.Namespace) -> int:
         for note in f.discriminators:
             print(f"  discriminator: {note}")
     return 0
+
+
+# ---------------------------------------------------------------------------
+# Arguments
+# ---------------------------------------------------------------------------
+
+_REQUIRED = object()
+_CONFIG = ("CONFIG", None, "lint configuration JSON (default: $MSGSTRUCT_CONFIG)")
+
+# command -> (function, help line, positionals, options). An option maps to
+# (value, default, help): its value is None for a flag, a metavar for a free
+# value, or the tuple of its choices; the default ``_REQUIRED`` makes it
+# required.
+_COMMANDS: dict[str, tuple[Callable[[SimpleNamespace], int], str, tuple[str, ...], dict[str, tuple]]] = {
+    "parse": (_cmd_parse, "parse a .ms file and print it back", ("file",), {
+        "--json": (None, False, "print the tree as JSON"),
+    }),
+    "canon": (_cmd_canon, "print the canonical form of a .ms file", ("file",), {}),
+    "check": (_cmd_check, "lint a .ms file for a development phase", ("file",), {
+        "--phase": (tuple(_PHASES), _REQUIRED, ""),
+        "--config": _CONFIG,
+        "--json": (None, False, "print diagnostics as JSON"),
+    }),
+    "equiv": (_cmd_equiv, "compare two .ms files for equivalence", ("file_a", "file_b"), {}),
+    "derive": (_cmd_derive, "derive a class diagram from an events manifest", (), {
+        "--events": ("EVENTS", _REQUIRED, "JSON manifest of {id,name,order,file}"),
+        "--format": (("json", "plantuml"), "json", ""),
+        "--force": (None, False, "derive even with lint errors"),
+        "--config": _CONFIG,
+    }),
+    "fragment": (_cmd_fragment, "fragment a .ms file into interface structures", ("file",), {
+        "--json": (None, False, "print fragments as JSON"),
+    }),
+}
+
+
+def _read_argv(argv: list[str]) -> tuple[Callable[[SimpleNamespace], int], SimpleNamespace] | None:
+    """The function of the command that ``argv`` names and its arguments,
+    read as ``_COMMANDS`` lists them; None once help is printed. Options
+    come before, between or after the positionals, as ``--name value`` or
+    ``--name=value``; every word after ``--`` is a positional."""
+    if argv[:1] in (["-h"], ["--help"]):
+        print(_help(""))
+        return None
+    if not argv:
+        raise _UsageError("the following arguments are required: command", "")
+    name = argv[0]
+    if name not in _COMMANDS:
+        choices = ", ".join(map(repr, _COMMANDS))
+        raise _UsageError(f"argument command: invalid choice: {name!r} (choose from {choices})", "")
+    function, _, positionals, options = _COMMANDS[name]
+    values = {option[2:]: default for option, (_, default, _) in options.items()}
+    given: list[str] = []
+    words = iter(argv[1:])
+    for word in words:
+        if word == "--":
+            given.extend(words)
+        elif word[:1] != "-" or word == "-":
+            given.append(word)
+        elif word in ("-h", "--help"):
+            print(_help(name))
+            return None
+        else:
+            option, eq, value = word.partition("=")
+            if option not in options:
+                raise _UsageError(f"unrecognized arguments: {word}", name)
+            kind = options[option][0]
+            if kind is None:
+                if eq:
+                    raise _UsageError(f"argument {option}: ignored explicit argument {value!r}", name)
+                value = True
+            else:
+                if not eq:
+                    value = next(words, None)
+                    if value is None or value[:1] == "-" and value != "-":
+                        raise _UsageError(f"argument {option}: expected one argument", name)
+                if isinstance(kind, tuple) and value not in kind:
+                    choices = ", ".join(map(repr, kind))
+                    raise _UsageError(f"argument {option}: invalid choice: {value!r} (choose from {choices})", name)
+            values[option[2:]] = value
+    missing = [*positionals[len(given):], *(o for o in options if values[o[2:]] is _REQUIRED)]
+    if missing:
+        raise _UsageError("the following arguments are required: " + ", ".join(missing), name)
+    if len(given) > len(positionals):
+        raise _UsageError("unrecognized arguments: " + " ".join(given[len(positionals):]), name)
+    values.update(zip(positionals, given))
+    return function, SimpleNamespace(**values)
+
+
+def _option_text(option: str, kind: str | tuple[str, ...] | None) -> str:
+    if kind is None:
+        return option
+    return f"{option} {{{','.join(kind)}}}" if isinstance(kind, tuple) else f"{option} {kind}"
+
+
+def _usage(name: str) -> str:
+    """The usage line of command ``name``, or of the program for ""."""
+    if not name:
+        return "usage: msgstruct [-h] command ..."
+    _, _, positionals, options = _COMMANDS[name]
+    parts = ["[-h]"]
+    for option, (kind, default, _) in options.items():
+        text = _option_text(option, kind)
+        parts.append(text if default is _REQUIRED else f"[{text}]")
+    return " ".join(["usage: msgstruct", name, *parts, *positionals])
+
+
+def _help(name: str) -> str:
+    """The ``-h`` text of command ``name``, or of the program for ""."""
+    rows = [("-h, --help", "show this help message and exit")]
+    if not name:
+        commands = [(command, entry[1]) for command, entry in _COMMANDS.items()]
+        sections = [("commands", commands), ("options", rows)]
+        about = "Parse, check, compare, and transform message structures."
+    else:
+        _, about, positionals, options = _COMMANDS[name]
+        rows += [(_option_text(option, kind), text) for option, (kind, _, text) in options.items()]
+        sections = [("positional arguments", [(p, "") for p in positionals]), ("options", rows)]
+    out = [_usage(name), "", about]
+    for title, entries in sections:
+        if entries:
+            out += ["", f"{title}:"]
+        out += [f"  {label:<22}{text}".rstrip() for label, text in entries]
+    return "\n".join(out)

@@ -13,6 +13,7 @@ and property values is read and written here; the parser only locates it.
 from __future__ import annotations
 
 import re
+from functools import cache
 from typing import Iterator, Union
 
 from .diagnostics import SourceSpan, _Record, _replace, _set
@@ -164,13 +165,17 @@ def formula_refs(f: Formula) -> list[str]:
 # compares and hashes within the interpreter's default recursion limit.
 _MAX_FORMULA_DEPTH = 64
 
-# One token of a formula: a number, a function name, a ':' field reference,
-# a quoted string, or a single other character ("" at the end).
-_FORMULA_TOKEN_RE = re.compile(
-    r"[ \t\n]*(?P<token>(?P<number>\d+(?:\.\d+)?)|(?P<call>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|:(?P<ref>" + _name(r"[ \t]+") + ")?"
-    r"""|(?P<quote>['"])(?P<text>(?:(?!(?P=quote))[^\\]|\\[\s\S]?)*)(?P<close>(?P=quote)?)|.?)"""
-)
+
+@cache
+def _formula_token_re() -> re.Pattern:
+    """One token of a formula: a number, a function name, a ':' field
+    reference, a quoted string, or a single other character ("" at the
+    end). Compiled on first use: most structures hold no formula."""
+    return re.compile(
+        r"[ \t\n]*(?P<token>(?P<number>\d+(?:\.\d+)?)|(?P<call>[A-Za-z_][A-Za-z0-9_]*)"
+        r"|:(?P<ref>" + _name(r"[ \t]+") + ")?"
+        r"""|(?P<quote>['"])(?P<text>(?:(?!(?P=quote))[^\\]|\\[\s\S]?)*)(?P<close>(?P=quote)?)|.?)"""
+    )
 
 
 def parse_formula(text: str) -> Formula:
@@ -186,7 +191,7 @@ class _FormulaParser:
     """Tiny expression grammar: the ``_PRECEDENCE`` levels (``+ -`` over
     ``* /``) over atoms, all left-associative; atoms are ``:Field`` refs,
     numbers, quoted strings, function calls, and parenthesised groups. It
-    reads one token per match of ``_FORMULA_TOKEN_RE``: ``m`` is the match,
+    reads one token per match of ``_formula_token_re``: ``m`` is the match,
     ``ch`` the token's first character ("" at the end), ``start`` its offset.
 
     Each method returns a node with its nesting level: 0 for an atom, and
@@ -198,10 +203,11 @@ class _FormulaParser:
         self.text = text
         self.end = 0
         self.open = 0
+        self.match = _formula_token_re().match
         self._next()
 
     def _next(self) -> None:
-        self.m = m = _FORMULA_TOKEN_RE.match(self.text, self.end)
+        self.m = m = self.match(self.text, self.end)
         self.start, self.end = m.span("token")
         self.ch = m["token"][:1]
 

@@ -141,6 +141,10 @@ class LintConfig(_Record):
         _set(self, "g1_wordlist", g1_wordlist)
         _set(self, "report_missing", report_missing)
 
+    def __hash__(self) -> int:
+        # A mapping proxy has no hash; the map's items do.
+        return hash((self.__class__, frozenset(self.severity_map.items()), self.g1_wordlist, self.report_missing))
+
     def __reduce__(self) -> tuple:
         # A mapping proxy does not pickle; the constructor makes it again.
         return type(self), (dict(self.severity_map), self.g1_wordlist, self.report_missing)

@@ -86,11 +86,17 @@ def _error(code: str, message: str, span: SourceSpan) -> ParseError:
 
 
 @cache
-def _scanner(tabular: bool) -> tuple[re.Pattern, re.Pattern, re.Pattern, re.Pattern | None]:
-    """The token and annotation-entry patterns of one layout, and the fast
-    path's field pattern and, for the tabular layout's extras cell, its
-    annotation pattern. They compile on first use, so a call that reads
-    one layout pays for that layout's patterns only.
+def _pattern(name: str, tabular: bool) -> re.Pattern:
+    """The pattern ``name`` of one layout, compiled on first use, so that a
+    call pays only for the patterns it reads: "token", the fast path's
+    "field", the slow path's annotation "entry" and, for the tabular
+    layout's extras cell, its "annotation"."""
+    return re.compile(_sources(tabular)[name])
+
+
+def _sources(tabular: bool) -> dict[str, str]:
+    """The text of the token and annotation-entry patterns of one layout,
+    and of the fast path's field pattern and annotation pattern.
 
     Blank space and '#' comments come before every token. A comment runs to
     the end of its line; the lookahead keeps a backtracking match from
@@ -146,7 +152,7 @@ def _scanner(tabular: bool) -> tuple[re.Pattern, re.Pattern, re.Pattern, re.Patt
     else:
         # A field's annotation if any, a '+' if any, and the token after.
         field = rf"(?:{b}*(?P<annotation>{annotation}))?(?:{ws}(?P<plus>\+))?{token}"
-    return re.compile(token), re.compile(entry), re.compile(field), re.compile(annotation) if tabular else None
+    return {"token": token, "entry": entry, "field": field, "annotation": annotation}
 
 
 # The property keys, named as ``_properties`` takes them, in the order
@@ -207,7 +213,7 @@ class _Parser:
         row = next((i for i, ln in enumerate(lines) if ln.strip() and not ln.lstrip().startswith("#")), 0)
         head = lines[row].split("\t")
         self.tabular = len(head) > 1 and head[0].strip() == _TAB_HEADER[0]
-        self.token_re, self.entry_re, self.field_re, self.annotation_re = _scanner(self.tabular)
+        self.token_re, self.field_re = _pattern("token", self.tabular), _pattern("field", self.tabular)
         self.depth = 0
         self.cells = -1
         self.end = self.line_starts[row + 1] if self.tabular else 0
@@ -287,7 +293,7 @@ class _Parser:
         take them. A bad value raises ``ValueError``."""
         domain, example, rest = cell and _domain_cell_text(cell), example or None, _ABSENT
         if extras:
-            annotation = self.annotation_re.fullmatch(self.text, *m.span("extras"))
+            annotation = _pattern("annotation", True).fullmatch(self.text, *m.span("extras"))
             if annotation is None:
                 return None
             extra_op, extra_domain, extra_example, *rest = annotation.groups()
@@ -453,10 +459,10 @@ class _Parser:
         """Read the annotation whose '(' is at ``opened``, up to ``endpos``,
         into ``entries``; return the offset just past its ')'. An error at
         the end of a ``cell`` is reported on the cell's last character."""
-        text, pos = self.text, opened + 1
+        text, pos, entry_re = self.text, opened + 1, _pattern("entry", self.tabular)
         last = endpos - 1 if cell else endpos
         while True:
-            m = self.entry_re.match(text, pos, endpos)
+            m = entry_re.match(text, pos, endpos)
             key = m["key"]
             if not key:
                 at = m.start("key")

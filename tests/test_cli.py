@@ -496,12 +496,15 @@ def _run_python(code: str, cwd) -> subprocess.CompletedProcess:
 _LOADED_AFTER = """
 import sys
 {statement}
-print(" ".join(m for m in sys.modules if m.startswith("msgstruct.") or m in ("json", "dataclasses", "inspect")))
+print(" ".join(m for m in sys.modules if m.startswith("msgstruct.") or m in (
+    "json", "dataclasses", "inspect", "argparse", "gettext", "locale",
+)))
 """
 
 
-# The records are not dataclasses, so no command pays for that machinery.
-_UNUSED_BY_ANY = {"dataclasses", "inspect"}
+# The records are not dataclasses and the arguments are read from a table,
+# so no command pays for that machinery or for argparse's translations.
+_UNUSED_BY_ANY = {"dataclasses", "inspect", "argparse", "gettext", "locale"}
 _UNUSED_BY_PARSING = {"msgstruct.derive", "msgstruct.fragment", "json"} | _UNUSED_BY_ANY
 
 
@@ -524,6 +527,17 @@ def test_a_command_loads_only_the_modules_it_runs(corpus_dir, argv, not_loaded):
     loaded = set(result.stdout.splitlines()[-1].split())
     assert "msgstruct.parser" in loaded
     assert not loaded & not_loaded
+
+
+def test_a_compact_parse_compiles_only_the_token_and_field_patterns(corpus_dir):
+    # ORDER holds no formula and every annotation takes the fast path.
+    statement = (
+        "from msgstruct import cli, core, parser; cli.main(['parse', 'order.ms']); "
+        "print(parser._pattern.cache_info().currsize, core._formula_token_re.cache_info().currsize)"
+    )
+    result = _run_python(statement, corpus_dir)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "2 0"
 
 
 def test_importing_the_package_loads_no_submodule(corpus_dir):
@@ -559,3 +573,67 @@ else:
 def test_every_public_name_is_the_object_its_submodule_defines(corpus_dir):
     result = _run_python(_PUBLIC_API, corpus_dir)
     assert result.returncode == 0, result.stderr
+
+
+# The argument contract: argv -> (exit status, the stream left empty, the
+# start of the first stderr line). Usage errors also end in a
+# ``msgstruct…: error:`` line and leave stdout empty.
+_USAGE = "usage: msgstruct"
+_CONTRACT = [
+    # The README examples, and the other forms an option is written in.
+    (["parse", "order.ms"], 0, "stderr", None),
+    (["parse", "--json", "order.ms"], 0, "stderr", None),
+    (["canon", "order.ms"], 0, "stderr", None),
+    (["equiv", "form1.ms", "form4.ms"], 0, "stderr", None),
+    (["check", "--phase", "analysis", "order.ms"], 0, "stdout", "order.ms: clean"),
+    (["derive", "--events", "events.json", "--format", "plantuml"], 0, "stderr", None),
+    (["fragment", "order.ms", "--json"], 0, "stderr", None),
+    (["check", "--phase=analysis", "order.ms"], 0, "stdout", "order.ms: clean"),
+    (["check", "order.ms", "--json", "--phase", "design-memory"], 0, "stderr", None),
+    (["derive", "--format=plantuml", "--events=events.json"], 0, "stderr", None),
+    (["parse", "--", "order.ms"], 0, "stderr", None),
+    # Help, for the program and for each command.
+    *(([*command, flag], 0, "stderr", None)
+      for command in ([], ["parse"], ["canon"], ["check"], ["equiv"], ["derive"], ["fragment"])
+      for flag in ("-h", "--help")),
+    (["check", "order.ms", "-h"], 0, "stderr", None),
+    # Usage errors.
+    ([], 2, "stdout", _USAGE),
+    (["bogus"], 2, "stdout", _USAGE),
+    (["--json"], 2, "stdout", _USAGE),
+    (["parse"], 2, "stdout", _USAGE),
+    (["equiv", "order.ms"], 2, "stdout", _USAGE),
+    (["parse", "order.ms", "extra.ms"], 2, "stdout", _USAGE),
+    (["canon", "order.ms", "--json"], 2, "stdout", _USAGE),
+    (["parse", "--bogus", "order.ms"], 2, "stdout", _USAGE),
+    (["parse", "--json=yes", "order.ms"], 2, "stdout", _USAGE),
+    (["check", "order.ms"], 2, "stdout", _USAGE),
+    (["check", "--phase", "order.ms"], 2, "stdout", _USAGE),
+    (["derive"], 2, "stdout", _USAGE),
+    (["derive", "--format", "plantuml"], 2, "stdout", _USAGE),
+    (["check", "--phase", "bogus", "order.ms"], 2, "stdout", _USAGE),
+    (["check", "--phase=bogus", "order.ms"], 2, "stdout", _USAGE),
+    (["derive", "--events", "events.json", "--format", "svg"], 2, "stdout", _USAGE),
+    (["derive", "--events", "events.json", "--format="], 2, "stdout", _USAGE),
+]
+
+
+@pytest.mark.parametrize("argv, status, empty, first_err", _CONTRACT, ids=[" ".join(c[0]) or "-" for c in _CONTRACT])
+def test_the_argument_contract(corpus_dir, monkeypatch, capsys, argv, status, empty, first_err):
+    from msgstruct import cli
+
+    monkeypatch.chdir(corpus_dir)
+    try:
+        got = cli.main(argv)
+    except SystemExit as exc:  # its code counts as the status
+        got = exc.code
+    out, err = capsys.readouterr()
+    assert got == status, err
+    assert {"stdout": out, "stderr": err}[empty] == ""
+    if first_err is not None:
+        assert err.splitlines()[0].startswith(first_err), err
+    if status == 2:
+        assert any(line.startswith("msgstruct") and ": error: " in line for line in err.splitlines()), err
+    elif "-h" in argv or "--help" in argv:
+        command = [word for word in argv[:1] if not word.startswith("-")]
+        assert out.startswith(" ".join([_USAGE, *command, ""])), out

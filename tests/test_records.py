@@ -156,9 +156,6 @@ _UNCOMPARED = {
     CommunicativeEvent: {"file"},
 }
 
-# A lint configuration holds its severities in a mapping proxy, which has no hash.
-_UNHASHABLE = {LintConfig}
-
 _IDS = [cls.__name__ for cls, _, _ in _RECORDS]
 
 
@@ -176,10 +173,6 @@ def test_records_compare_and_hash_by_their_compared_fields(cls, values, defaults
     record, twin = cls(**values), cls(**values)
     assert record == twin and not record != twin
     assert record != "not a record"
-    if cls in _UNHASHABLE:
-        with pytest.raises(TypeError):
-            hash(record)
-        return
     assert hash(record) == hash(twin)
     for name, default in defaults.items():
         other = cls(**{**values, name: default})
@@ -187,6 +180,13 @@ def test_records_compare_and_hash_by_their_compared_fields(cls, values, defaults
             assert other == record and hash(other) == hash(record)
         else:
             assert other != record
+
+
+def test_equal_lint_configs_hash_equal():
+    strict = LintConfig.from_json({"severity": {"-": "error"}, "g1_wordlist": ["Total"]})
+    twin = LintConfig({**strict.severity_map}, ("total",))
+    assert twin == strict and hash(twin) == hash(strict)
+    assert len({LintConfig(), LintConfig(None), LintConfig(_DEFAULT_SEVERITY), strict, twin}) == 2
 
 
 @pytest.mark.parametrize("cls, values, defaults", _RECORDS, ids=_IDS)

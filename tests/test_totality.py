@@ -1,6 +1,6 @@
-"""The command line is total: for any bytes given as a structure file, an
-events manifest or a lint configuration, ``cli.main`` returns 0, 1 or 2 and
-raises nothing.
+"""The command line is total: for any argument list, and for any bytes
+given as a structure file, an events manifest or a lint configuration,
+``cli.main`` returns 0, 1 or 2 and raises nothing.
 
 These hypothesis suites run on their own, outside the acceptance gate's
 property budget: derandomized, with a bounded number of examples.
@@ -11,6 +11,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 
 import pytest
 from hypothesis import example, given, settings
@@ -140,3 +141,42 @@ def test_cli_is_total_on_config_bytes(workdir, data):
         ["derive", "--config", c, "--events", events],
     )
     assert set(statuses) <= {0, 1, 2}
+
+
+_OPTIONS = ["--json", "--phase", "--config", "--events", "--format", "--force"]
+# Files of the workdir, relative to it; "." is a directory.
+_FILES = ["a.ms", "events.json", "c.json", "missing.ms", "."]
+# Command names, option names bare and with a value (good or bad), help,
+# ``--``, files and junk.
+_ARGV = st.lists(
+    st.one_of(
+        st.sampled_from(["parse", "canon", "check", "equiv", "derive", "fragment", "-h", "--help", "--", "-", ""]),
+        st.sampled_from(_OPTIONS),
+        st.builds(
+            "{}={}".format,
+            st.sampled_from(_OPTIONS),
+            st.sampled_from([*_OPTIONS, *cli._PHASES, "json", "plantuml", "bogus", "", *_FILES]),
+        ),
+        st.sampled_from(_FILES),
+        st.text(alphabet="-=abh x.", max_size=6),
+    ),
+    max_size=6,
+)
+
+
+@_TOTALITY
+@given(argv=_ARGV)
+@example(argv=[])
+@example(argv=["-h", "bogus"])
+@example(argv=["check", "--phase=", "--config"])
+@example(argv=["derive", "--events", "events.json", "--format=plantuml", "--force"])
+def test_cli_is_total_on_argv(workdir, argv):
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        (status,) = _statuses(argv)
+    except SystemExit as exc:  # its code counts as the status
+        status = exc.code
+    finally:
+        os.chdir(cwd)
+    assert status in (0, 1, 2), argv
