@@ -11,10 +11,11 @@ help and usage text; ``argparse`` is not imported, to keep start-up short.
 
 from __future__ import annotations
 
+import atexit
 import os
 import sys
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, NoReturn
 
 if TYPE_CHECKING:
     from .core import MessageStructure
@@ -40,10 +41,12 @@ class _UsageError(Exception):
 def main(argv: list[str] | None = None) -> int:
     try:
         read = _read_argv(sys.argv[1:] if argv is None else argv)
-        if read is None:  # help was printed
-            return 0
-        command, args = read
-        return command(args)
+        status = 0  # help was printed
+        if read is not None:
+            command, args = read
+            status = command(args)
+        sys.stdout.flush()
+        return status
     except _UsageError as exc:
         prog = "msgstruct"
         if exc.command is not None:
@@ -51,6 +54,40 @@ def main(argv: list[str] | None = None) -> int:
             prog = f"{prog} {exc.command}".rstrip()
         print(f"{prog}: error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:  # a failed read is a _UsageError, so this is a failed write
+        try:
+            print(f"msgstruct: error: cannot write output: {exc.strerror or exc}", file=sys.stderr)
+        except OSError:
+            pass
+        return 2
+
+
+def run() -> NoReturn:
+    """The ``msgstruct`` command and ``python -m msgstruct``: ``main()``,
+    then an exit that skips the interpreter's teardown of the modules that
+    start-up loaded, which takes longer than a command's own work. As at a
+    normal exit, the ``atexit`` handlers run and then the output is flushed.
+    A profiler or tracer reports at the normal exit, so under one that exit
+    is kept."""
+    status = main()
+    if _observed():
+        sys.exit(status)
+    atexit._run_exitfuncs()
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except OSError:  # main has reported the failed write
+            pass
+    os._exit(status)
+
+
+def _observed() -> bool:
+    """Whether a profiler, a tracer or (from Python 3.12, where cProfile
+    and coverage use it) a ``sys.monitoring`` tool watches this process."""
+    if sys.getprofile() is not None or sys.gettrace() is not None:
+        return True
+    monitoring = getattr(sys, "monitoring", None)  # its tool ids are 0 to 5
+    return monitoring is not None and any(monitoring.get_tool(i) is not None for i in range(6))
 
 
 # ---------------------------------------------------------------------------

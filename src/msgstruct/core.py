@@ -47,13 +47,13 @@ def _parse_bool(value: str) -> bool:
 
 # Quoted text: what a '\\' escape stands for, both ways. An unknown escape
 # reads as written.
-_ESCAPES = {"\\": "\\\\", '"': '\\"', "\t": "\\t", "\n": "\\n", "\r": "\\r"}
+_ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"', "\t": "\\t", "\n": "\\n", "\r": "\\r"})
 _UNESCAPES = {"\\": "\\", '"': '"', "'": "'", "t": "\t", "n": "\n", "r": "\r"}
 _UNESCAPE_RE = re.compile(r"\\([\s\S]?)")
 
 
 def _escape(value: str) -> str:
-    return "".join(_ESCAPES.get(ch, ch) for ch in value)
+    return value.translate(_ESCAPES)
 
 
 def _unescape(text: str) -> str:
@@ -316,6 +316,9 @@ class EnumeratedDomain(_Record):
 
 Domain = Union[BasicDomain, ReferenceDomain, EnumeratedDomain]
 
+# Domains are immutable, so each basic one is built once and shared.
+_BASIC_DOMAINS = {kind: BasicDomain(kind) for kind in BASIC_DOMAIN_KINDS}
+
 
 # The domain rules. An error ends with the domain as ``written``, or else
 # with its annotation text.
@@ -355,8 +358,8 @@ def _domain_from_text(text: str, written: str | None = None) -> Domain:
     ``enum:a|b`` (literals split at '|', or else at blanks). Errors quote
     ``written``, the text as the user wrote it, or else ``text``."""
     written = text if written is None else written
-    if text in BASIC_DOMAIN_KINDS:
-        return BasicDomain(text)
+    if text in _BASIC_DOMAINS:
+        return _BASIC_DOMAINS[text]
     if text.startswith("ref:"):
         target = text[4:].strip()
         _check_reference(target, written)
@@ -393,6 +396,10 @@ class Acquisition(_Record):
         _set(self, "formula", formula)
 
 
+# The types of a flag's value: ``bool`` cannot be subclassed, so these are exact.
+_FLAG_TYPES = frozenset((bool, type(None)))
+
+
 class FieldProperties(_Record):
     """The annotations of one field: acquisition, domain, example,
     description, label, memory link, compulsoriness, initialisation and
@@ -424,9 +431,9 @@ class FieldProperties(_Record):
     ) -> None:
         if memory_link is not None:
             _check_link(memory_link)
-        for key, flag in (("compulsory", compulsory), ("visible", visible)):
-            if flag is not None and not isinstance(flag, bool):
-                raise ValueError(f"{key} must be True, False or None, found {flag!r}")
+        if type(compulsory) not in _FLAG_TYPES or type(visible) not in _FLAG_TYPES:
+            key, flag = ("visible", visible) if type(compulsory) in _FLAG_TYPES else ("compulsory", compulsory)
+            raise ValueError(f"{key} must be True, False or None, found {flag!r}")
         _set(self, "acquisition", acquisition)
         _set(self, "domain", domain)
         _set(self, "example", example)

@@ -519,13 +519,17 @@ class _Parser:
             self._fail("P005", str(exc), *entries["formula"][1:])
 
 
+# Acquisitions are immutable, so each one without a formula is built once and shared.
+_ACQUISITIONS = {op: Acquisition(op) for op in ("i", "g", "d")}
+
+
 def _properties(
     op=None, domain=None, example=None, desc=None, label=None, link=None, required=None, init=None,
     visible=None, formula=None, cell=None,
 ) -> FieldProperties:
     """The properties of the values given, by ``_FAST_KEYS`` name; domain
     errors quote ``cell``. A bad value raises its ``core`` owner's ``ValueError``."""
-    acquisition = None if op is None else Acquisition(op)
+    acquisition = None if op is None else _ACQUISITIONS[op] if op in _ACQUISITIONS else Acquisition(op)
     if formula is not None:
         acquisition = Acquisition(op, parse_formula(formula))
     return FieldProperties(

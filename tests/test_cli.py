@@ -480,6 +480,88 @@ def test_artifacts_go_to_stdout_only(run_cli, corpus_dir, command):
     assert result.stdout and result.stderr == ""
 
 
+# ---------------------------------------------------------------------------
+# The exit path: ``python -m msgstruct`` ends without interpreter teardown
+# ---------------------------------------------------------------------------
+
+
+def _write_wide_document(directory) -> None:
+    """A structure whose ``parse --json`` output is about 200 kB: more than
+    a pipe holds."""
+    fields = " + ".join(f'Field {i} (op=i; domain=text; example="value {i}")' for i in range(1100))
+    (directory / "wide.ms").write_text(f"WIDE = <{fields}>\n", encoding="utf-8")
+
+
+def test_a_large_output_is_written_whole_to_a_file_and_a_pipe(corpus_dir, monkeypatch, capsys):
+    from msgstruct import cli
+
+    _write_wide_document(corpus_dir)
+    monkeypatch.chdir(corpus_dir)
+    assert cli.main(["parse", "--json", "wide.ms"]) == 0
+    expected = capsys.readouterr().out.encode("utf-8")
+    assert len(expected) > 150_000
+    argv = [sys.executable, "-m", "msgstruct", "parse", "--json", "wide.ms"]
+    with open(corpus_dir / "wide.json", "wb") as out:
+        to_file = subprocess.run(argv, stdout=out, cwd=corpus_dir, env=cli_env(), timeout=60)
+    to_pipe = subprocess.run(argv, capture_output=True, cwd=corpus_dir, env=cli_env(), timeout=60)
+    assert to_file.returncode == to_pipe.returncode == 0
+    assert (corpus_dir / "wide.json").read_bytes() == expected
+    assert to_pipe.stdout == expected and to_pipe.stderr == b""
+
+
+def test_an_atexit_handler_still_runs(corpus_dir):
+    code = (
+        "import atexit, runpy, sys\n"
+        "atexit.register(print, 'atexit handler ran')\n"
+        "sys.argv = ['msgstruct', 'parse', 'order.ms']\n"
+        "runpy.run_module('msgstruct', run_name='__main__')\n"
+    )
+    result = _run_python(code, corpus_dir)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("ORDER=<")
+    assert result.stdout.endswith("\natexit handler ran\n")
+
+
+def test_a_profiled_run_still_prints_the_profile(corpus_dir):
+    result = subprocess.run(
+        [sys.executable, "-m", "cProfile", "-m", "msgstruct", "parse", "order.ms"],
+        capture_output=True, text=True, cwd=corpus_dir, env=cli_env(), timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("ORDER=<")
+    assert "function calls" in result.stdout and "ncalls" in result.stdout
+
+
+def _assert_one_write_error(status: int, err: str) -> None:
+    assert status == 2, err
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and errors[0].startswith("msgstruct: error: cannot write output: "), err
+
+
+def test_a_closed_pipe_exits_2_with_one_error_line(corpus_dir):
+    _write_wide_document(corpus_dir)
+    child = subprocess.Popen(
+        [sys.executable, "-m", "msgstruct", "parse", "--json", "wide.ms"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=corpus_dir, env=cli_env(),
+    )
+    child.stdout.read(10)  # as `| head -c 10` does
+    child.stdout.close()
+    err = child.stderr.read().decode("utf-8")
+    child.stderr.close()
+    _assert_one_write_error(child.wait(timeout=60), err)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+def test_a_full_device_exits_2_with_one_error_line(corpus_dir):
+    with open("/dev/full", "wb") as full:
+        result = subprocess.run(
+            [sys.executable, "-m", "msgstruct", "parse", "order.ms"],
+            stdout=full, stderr=subprocess.PIPE, text=True, cwd=corpus_dir, env=cli_env(), timeout=60,
+        )
+    _assert_one_write_error(result.returncode, result.stderr)
+
+
 def _run_python(code: str, cwd) -> subprocess.CompletedProcess:
     """Run ``code`` in a fresh interpreter, which has imported nothing of
     msgstruct yet (this test process holds every module)."""

@@ -254,6 +254,12 @@ def test_escape_sequences_in_quoted_values():
     assert next(iter_fields(ms)).properties.example == 'say "hi"\t\\'
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.text(alphabet=st.sampled_from('\\"\'\t\n\rtnrq é') | st.characters()))
+def test_unescape_inverts_escape(value):
+    assert core._unescape(core._escape(value)) == value
+
+
 # ---------------------------------------------------------------------------
 # Formulas
 # ---------------------------------------------------------------------------
