@@ -54,9 +54,12 @@ def main(argv: list[str] | None = None) -> int:
             prog = f"{prog} {exc.command}".rstrip()
         print(f"{prog}: error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:  # a failed read is a _UsageError, so this is a failed write
+    except (OSError, UnicodeEncodeError) as exc:
+        # A failed read is a _UsageError, so this is a failed write, or
+        # output that stdout's encoding cannot encode (its message is ASCII).
+        reason = getattr(exc, "strerror", None) or exc
         try:
-            print(f"msgstruct: error: cannot write output: {exc.strerror or exc}", file=sys.stderr)
+            print(f"msgstruct: error: cannot write output: {reason}", file=sys.stderr)
         except OSError:
             pass
         return 2
@@ -96,9 +99,10 @@ def _observed() -> bool:
 
 
 def _read_file(path: str) -> str:
+    from .parser import _read_source
+
     try:
-        with open(path, encoding="utf-8-sig") as f:
-            return f.read()
+        return _read_source(path)
     except OSError as exc:
         raise _UsageError(f"cannot read {path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
@@ -135,46 +139,9 @@ def _load_config(path: str | None) -> LintConfig:
 
 
 def _dump_json(obj: object) -> None:
+    from .diagnostics import _json_text
+
     print(_json_text(obj))
-
-
-def _json_text(obj: object) -> str:
-    """``json.dumps(obj, indent=2, ensure_ascii=False)`` for dicts with
-    string keys, lists, tuples and scalars, written from an explicit stack: the
-    indenting encoder in ``json`` recurses once per level and runs out of
-    frames on a structure ``MAX_NESTING`` deep."""
-    import json
-
-    scalar = json.JSONEncoder(ensure_ascii=False).encode
-    out: list[str] = []
-    # One entry per open container: its items left, its closer, whether it
-    # is a dict, and whether an item was written.
-    stack: list[list] = []
-    end = object()
-    value = obj
-    while True:
-        if isinstance(value, (dict, list, tuple)) and value:
-            is_dict = isinstance(value, dict)
-            out.append("{" if is_dict else "[")
-            stack.append([iter(value.items() if is_dict else value), "}" if is_dict else "]", is_dict, False])
-        else:
-            out.append("{}" if isinstance(value, dict) else "[]" if isinstance(value, (list, tuple)) else scalar(value))
-        while stack:
-            open_ = stack[-1]
-            item = next(open_[0], end)
-            if item is not end:
-                break
-            stack.pop()
-            out.append("\n" + "  " * len(stack) + open_[1])
-        else:
-            return "".join(out)
-        out.append(("," if open_[3] else "") + "\n" + "  " * len(stack))
-        open_[3] = True
-        if open_[2]:
-            key, value = item
-            out.append(scalar(key) + ": ")
-        else:
-            value = item
 
 
 # ---------------------------------------------------------------------------

@@ -300,7 +300,8 @@ class ReferenceDomain(_Record):
     __slots__ = ("target",)
 
     def __init__(self, target: str) -> None:
-        _check_reference(target)
+        if not IDENTIFIER_RE.fullmatch(target):
+            raise ValueError(f"reference domain needs a type name: {'ref:' + target!r}")
         _set(self, "target", target)
 
 
@@ -310,7 +311,10 @@ class EnumeratedDomain(_Record):
     __slots__ = ("literals",)
 
     def __init__(self, literals: tuple[str, ...]) -> None:
-        _check_literals(literals)
+        if not literals or not all(map(IDENTIFIER_RE.fullmatch, literals)):
+            raise ValueError(f"bad enumerated domain: {'enum:' + '|'.join(literals)!r}")
+        if len(set(literals)) != len(literals):
+            raise ValueError(f"duplicate literals in enumerated domain: {'enum:' + '|'.join(literals)!r}")
         _set(self, "literals", literals)
 
 
@@ -318,25 +322,6 @@ Domain = Union[BasicDomain, ReferenceDomain, EnumeratedDomain]
 
 # Domains are immutable, so each basic one is built once and shared.
 _BASIC_DOMAINS = {kind: BasicDomain(kind) for kind in BASIC_DOMAIN_KINDS}
-
-
-# The domain rules. An error ends with the domain as ``written``, or else
-# with its annotation text.
-def _check_reference(target: str, written: str | None = None) -> None:
-    if not IDENTIFIER_RE.fullmatch(target):
-        quote = f"ref:{target}" if written is None else written
-        raise ValueError(f"reference domain needs a type name: {quote!r}")
-
-
-def _check_literals(literals: tuple[str, ...], written: str | None = None) -> None:
-    if not literals or not all(map(IDENTIFIER_RE.fullmatch, literals)):
-        problem = "bad enumerated domain"
-    elif len(set(literals)) != len(literals):
-        problem = "duplicate literals in enumerated domain"
-    else:
-        return
-    quote = "enum:" + "|".join(literals) if written is None else written
-    raise ValueError(f"{problem}: {quote!r}")
 
 
 def domain_to_text(d: Domain) -> str:
@@ -360,16 +345,16 @@ def _domain_from_text(text: str, written: str | None = None) -> Domain:
     written = text if written is None else written
     if text in _BASIC_DOMAINS:
         return _BASIC_DOMAINS[text]
-    if text.startswith("ref:"):
-        target = text[4:].strip()
-        _check_reference(target, written)
-        return ReferenceDomain(target)
-    if text.startswith("enum:"):
-        body = text[5:].strip()
-        parts = body.split("|") if "|" in body else body.split()
-        literals = tuple(p.strip() for p in parts if p.strip())
-        _check_literals(literals, written)
-        return EnumeratedDomain(literals)
+    try:
+        if text.startswith("ref:"):
+            return ReferenceDomain(text[4:].strip())
+        if text.startswith("enum:"):
+            body = text[5:].strip()
+            parts = body.split("|") if "|" in body else body.split()
+            return EnumeratedDomain(tuple(p.strip() for p in parts if p.strip()))
+    except ValueError as exc:  # the constructor's check: quote the domain as written
+        problem = str(exc).partition(": ")[0]
+        raise ValueError(f"{problem}: {written!r}") from None
     raise ValueError(
         f"unknown domain {written!r} (expected one of {', '.join(BASIC_DOMAIN_KINDS)}, "
         "'ref:Type', or 'enum:a|b')"

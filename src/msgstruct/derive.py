@@ -52,8 +52,8 @@ from .core import (
     formula_to_text,
     parse_formula,
 )
-from .diagnostics import Diagnostic, Severity, SourceSpan, _Record, _replace, _set
-from .parser import ParseError, parse
+from .diagnostics import Diagnostic, Severity, SourceSpan, _json_text, _Record, _replace, _set
+from .parser import ParseError, _read_source, parse
 
 if TYPE_CHECKING:
     from pathlib import Path
@@ -435,9 +435,7 @@ _PLANTUML_MULT = {"one": "1", "many": "*"}
 def export_diagram(d: ClassDiagram, fmt: str = "json") -> str:
     """Serialise a diagram: ``json`` (schema above) or ``plantuml``."""
     if fmt == "json":
-        import json
-
-        return json.dumps(diagram_to_json_obj(d), indent=2, ensure_ascii=False) + "\n"
+        return _json_text(diagram_to_json_obj(d)) + "\n"
     if fmt != "plantuml":
         raise ValueError(f"unknown diagram format {fmt!r}")
     lines = ["@startuml"]
@@ -511,7 +509,7 @@ def load_events_manifest(path: str | Path) -> list[CommunicativeEvent]:
         except (KeyError, TypeError, OverflowError) as exc:
             raise ValueError(f"bad manifest entry {entry!r}: {exc}") from None
         try:
-            structure = parse(ms_path.read_text(encoding="utf-8-sig"))
+            structure = parse(_read_source(ms_path))
         except OSError as exc:
             raise ValueError(f"cannot read {ms_path}: {exc}") from None
         except ParseError as exc:

@@ -1,8 +1,10 @@
 """Source positions and diagnostics shared by the parser, linter, and deriver,
-and the frozen record base that every model type of the package builds on."""
+the frozen record base that every model type of the package builds on, and
+the package's JSON writer."""
 
 from __future__ import annotations
 
+import sys
 from enum import Enum
 from operator import attrgetter
 
@@ -178,3 +180,69 @@ class Diagnostic(_Record):
 
 def has_errors(diagnostics: list[Diagnostic]) -> bool:
     return any(d.severity is Severity.ERROR for d in diagnostics)
+
+
+def _json_text(obj: object) -> str:
+    """``json.dumps(obj, indent=2, ensure_ascii=False)``, byte for byte, for
+    dicts with string keys, lists, tuples and scalars: strings and other
+    scalars are encoded by the functions that ``json`` itself uses.
+
+    The text is written top-down from an explicit stack, so it is written at
+    any depth, where the indenting encoder in ``json`` recurses once per level.
+    It also keeps fewer strings alive: each item goes out as one piece (its
+    separator, indent, key and value), and a container that holds only
+    scalars is joined into one piece when it closes. Containers that hold
+    containers are not joined, as that would copy each level's text again.
+
+    From Python 3.13 the C encoder in ``json`` writes indented text too, in
+    less than half the time and holding little more than the text; there it
+    writes whatever it can nest through (thousands of levels)."""
+    import json
+
+    if sys.version_info >= (3, 13):
+        try:
+            return json.dumps(obj, indent=2, ensure_ascii=False)
+        except RecursionError:
+            pass
+    string = json.encoder.encode_basestring
+    scalar = json.JSONEncoder(ensure_ascii=False).encode  # also "{}" and "[]"
+    if not (isinstance(obj, (dict, list, tuple)) and obj):
+        return scalar(obj)
+    out: list[str] = []
+    # One entry per open container: its items left, whether it is a dict,
+    # the index in ``out`` of its first piece, whether it holds only scalars
+    # so far, and the newline and indent of its items.
+    stack: list[list] = []
+    value, head, indent = obj, "", "\n"  # the container to open, the text before it, its line's indent
+    while True:
+        if stack:
+            stack[-1][3] = False
+        is_dict = isinstance(value, dict)
+        out.append(head + ("{" if is_dict else "["))
+        stack.append([iter(value.items() if is_dict else value), is_dict, len(out) - 1, True, indent + "  "])
+        while stack:
+            open_ = stack[-1]
+            items, is_dict, start, _, indent = open_
+            for item in items:
+                # The container has written an item if it has a piece after its first.
+                head = "," + indent if len(out) - 1 > start else indent
+                if is_dict:
+                    key, value = item
+                    head += string(key) + ": "
+                else:
+                    value = item
+                if isinstance(value, str):
+                    out.append(head + string(value))
+                elif isinstance(value, (dict, list, tuple)) and value:
+                    break  # to open it
+                else:
+                    out.append(head + scalar(value))
+            else:
+                stack.pop()
+                out.append((stack[-1][4] if stack else "\n") + ("}" if is_dict else "]"))
+                if open_[3]:
+                    out[start:] = ["".join(out[start:])]
+                continue
+            break
+        else:
+            return "".join(out)

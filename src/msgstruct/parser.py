@@ -39,7 +39,7 @@ import re
 from bisect import bisect_right
 from functools import cache
 from itertools import accumulate
-from typing import NoReturn
+from typing import TYPE_CHECKING, NoReturn
 
 from .core import (
     Acquisition,
@@ -64,6 +64,9 @@ from .core import (
     parse_formula,
 )
 from .diagnostics import Diagnostic, Severity, SourceSpan, _replace
+
+if TYPE_CHECKING:
+    from pathlib import Path
 
 __all__ = ["parse", "parse_formula", "to_text", "structure_to_json_obj", "ParseError", "MAX_NESTING"]
 
@@ -180,6 +183,16 @@ def parse(text: str) -> MessageStructure:
     """Parse one message structure from text (compact or tabular layout)."""
     text = text.lstrip("﻿").replace("\r\n", "\n").replace("\r", "\n")
     return _Parser(text).parse_structure()
+
+
+def _read_source(path: str | Path) -> str:
+    """The text of a ``.ms`` file: its bytes after a leading UTF-8 byte-order
+    mark, decoded as UTF-8. ``parse`` reads every newline convention, so
+    the text is not translated, and the ``utf-8-sig`` codec is not loaded.
+    A ``UnicodeDecodeError`` gives positions after the mark, as that codec did."""
+    with open(path, "rb") as f:
+        data = f.read()
+    return (data[3:] if data[:3] == b"\xef\xbb\xbf" else data).decode("utf-8")
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import cli_env
 
@@ -139,7 +141,7 @@ def test_every_command_runs_on_the_deepest_structure(tmp_path, capsys, opener, c
 def test_json_output_is_that_of_json_dumps(corpus_dir):
     """``parse``, ``check`` and ``fragment`` print ``--json`` byte for byte as
     ``json.dumps(obj, indent=2, ensure_ascii=False)`` did."""
-    from msgstruct.cli import _json_text
+    from msgstruct.diagnostics import _json_text
     from msgstruct.fragment import fragment_1nf, fragments_to_json_obj
     from msgstruct.lint import Phase, guideline_checks, lint
     from msgstruct.parser import ParseError, parse, structure_to_json_obj
@@ -158,6 +160,46 @@ def test_json_output_is_that_of_json_dumps(corpus_dir):
     assert len(objs) > 30
     for obj in objs:
         assert _json_text(obj) == json.dumps(obj, indent=2, ensure_ascii=False)
+
+
+# Values of every kind the writer takes, weighted towards the text that
+# needs escaping, the numbers that print oddly and empty containers.
+_JSON_STRINGS = st.text(st.sampled_from('\x00\x1f\x7f"\\/\n\t\u2028\ud800\udfffé😀 a') | st.characters())
+_JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-(2**200), 2**200)
+    | st.floats()
+    | st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0])
+    | _JSON_STRINGS
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS | st.sampled_from([[], {}, ()]),
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(_JSON_STRINGS, children, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(_JSON_SCALARS | _JSON_VALUES)
+def test_the_json_writer_writes_what_json_dumps_writes(value):
+    from msgstruct.diagnostics import _json_text
+
+    assert _json_text(value) == json.dumps(value, indent=2, ensure_ascii=False)
+
+
+def test_the_json_writer_writes_a_list_5000_levels_deep():
+    from msgstruct.diagnostics import _json_text
+
+    depth = 5000
+    value: list = []
+    for _ in range(depth):
+        value = [value]
+    lines = [*("  " * i + "[" for i in range(depth)), "  " * depth + "[]", *("  " * i + "]" for i in reversed(range(depth)))]
+    assert _json_text(value) == "\n".join(lines)
 
 
 @pytest.mark.parametrize("opener, closer", [("<", ">"), ("{", "}"), ("[", "]")])
@@ -560,6 +602,17 @@ def test_a_full_device_exits_2_with_one_error_line(corpus_dir):
             stdout=full, stderr=subprocess.PIPE, text=True, cwd=corpus_dir, env=cli_env(), timeout=60,
         )
     _assert_one_write_error(result.returncode, result.stderr)
+
+
+@pytest.mark.parametrize("argv", [["parse", "u.ms"], ["parse", "--json", "u.ms"], ["fragment", "--json", "u.ms"]])
+def test_output_that_stdout_cannot_encode_exits_2_with_one_error_line(tmp_path, argv):
+    (tmp_path / "u.ms").write_text('U=<x (op=i; example="café")>\n', encoding="utf-8")
+    result = subprocess.run(
+        [sys.executable, "-m", "msgstruct", *argv],
+        capture_output=True, text=True, cwd=tmp_path, env=cli_env(PYTHONIOENCODING="ascii"), timeout=60,
+    )
+    _assert_one_write_error(result.returncode, result.stderr)
+    assert "'ascii' codec can't encode character '\\xe9'" in result.stderr
 
 
 def _run_python(code: str, cwd) -> subprocess.CompletedProcess:
