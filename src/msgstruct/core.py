@@ -294,6 +294,9 @@ class BasicDomain(_Record):
         _set(self, "kind", kind)
 
 
+# The checks of ReferenceDomain and EnumeratedDomain raise "<problem>: <domain
+# quoted>". _domain_from_text keeps the text before the first ": " and quotes
+# the domain as the user wrote it, so a problem must not contain ": ".
 class ReferenceDomain(_Record):
     """Domain of a reference field: a type of business object."""
 
@@ -352,7 +355,7 @@ def _domain_from_text(text: str, written: str | None = None) -> Domain:
             body = text[5:].strip()
             parts = body.split("|") if "|" in body else body.split()
             return EnumeratedDomain(tuple(p.strip() for p in parts if p.strip()))
-    except ValueError as exc:  # the constructor's check: quote the domain as written
+    except ValueError as exc:  # the constructor's "<problem>: <domain>"; quote the domain as written
         problem = str(exc).partition(": ")[0]
         raise ValueError(f"{problem}: {written!r}") from None
     raise ValueError(

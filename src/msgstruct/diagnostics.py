@@ -4,7 +4,6 @@ the package's JSON writer."""
 
 from __future__ import annotations
 
-import sys
 from enum import Enum
 from operator import attrgetter
 
@@ -192,18 +191,9 @@ def _json_text(obj: object) -> str:
     It also keeps fewer strings alive: each item goes out as one piece (its
     separator, indent, key and value), and a container that holds only
     scalars is joined into one piece when it closes. Containers that hold
-    containers are not joined, as that would copy each level's text again.
-
-    From Python 3.13 the C encoder in ``json`` writes indented text too, in
-    less than half the time and holding little more than the text; there it
-    writes whatever it can nest through (thousands of levels)."""
+    containers are not joined, as that would copy each level's text again."""
     import json
 
-    if sys.version_info >= (3, 13):
-        try:
-            return json.dumps(obj, indent=2, ensure_ascii=False)
-        except RecursionError:
-            pass
     string = json.encoder.encode_basestring
     scalar = json.JSONEncoder(ensure_ascii=False).encode  # also "{}" and "[]"
     if not (isinstance(obj, (dict, list, tuple)) and obj):

@@ -340,7 +340,7 @@ def test_empty_diagram_exports():
 def test_json_export_holds_at_most_five_and_a_half_times_its_text():
     # 3,000 attributes in 60 classes. The export holds the JSON object of
     # the diagram and its pieces of text while it joins them: 4.4-4.9 times
-    # the text on Python 3.10-3.12. json.dumps's pure-Python indenting
+    # the text on Python 3.10-3.13. json.dumps's pure-Python indenting
     # encoder, which keeps every token as a string, held 8-9 times.
     import tracemalloc
 
