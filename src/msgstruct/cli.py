@@ -138,10 +138,27 @@ def _load_config(path: str | None) -> LintConfig:
         raise _UsageError(f"bad config {path}: {exc}") from None
 
 
+def _print(text: str, end: str = "\n") -> None:
+    """``print(text, end=end)`` for a command's output: the encoded text goes
+    to stdout's byte buffer, where it has one, until every byte is taken.
+    Unbuffered (``python -u``), that buffer is the file, whose ``write``
+    takes less than it is given when a pipe's reader goes away; text I/O
+    ignores that count, but the next write here raises for ``main``."""
+    out = sys.stdout
+    buffer = getattr(out, "buffer", None)
+    for part in (text, end):
+        if buffer is None:
+            out.write(part)
+            continue
+        data = memoryview(part.encode(out.encoding, out.errors))
+        while data:
+            data = data[buffer.write(data):]
+
+
 def _dump_json(obj: object) -> None:
     from .diagnostics import _json_text
 
-    print(_json_text(obj))
+    _print(_json_text(obj))
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +175,7 @@ def _cmd_parse(args: SimpleNamespace) -> int:
     if args.json:
         _dump_json(structure_to_json_obj(ms))
     else:
-        print(to_text(ms))
+        _print(to_text(ms))
     return 0
 
 
@@ -169,7 +186,7 @@ def _cmd_canon(args: SimpleNamespace) -> int:
     ms = _parse_or_report(args.file)
     if ms is None:
         return 1
-    print(to_text(canonicalize(ms)))
+    _print(to_text(canonicalize(ms)))
     return 0
 
 
@@ -219,9 +236,9 @@ def _cmd_equiv(args: SimpleNamespace) -> int:
     if ms_a is None or ms_b is None:
         return 1
     if equivalent(ms_a, ms_b):
-        print("equivalent")
+        _print("equivalent")
         return 0
-    print("not equivalent")
+    _print("not equivalent")
     return 1
 
 
@@ -276,7 +293,7 @@ def _cmd_derive(args: SimpleNamespace) -> int:
     except DerivationError as exc:  # D003 and D004 have no span
         _emit_diagnostics([exc.diagnostic], args.events)
         return 1
-    sys.stdout.write(export_diagram(diagram, args.format))
+    _print(export_diagram(diagram, args.format), end="")
     return 0
 
 
@@ -294,9 +311,9 @@ def _cmd_fragment(args: SimpleNamespace) -> int:
         f = item.fragment
         parent = f" parent={f.parent_key}" if f.parent_key else ""
         names = ", ".join(fld.name for fld in f.fields) or "(no fields)"
-        print(f"{f.id} [depth {f.depth}, {item.kind}{parent}]: {names}")
+        _print(f"{f.id} [depth {f.depth}, {item.kind}{parent}]: {names}")
         for note in f.discriminators:
-            print(f"  discriminator: {note}")
+            _print(f"  discriminator: {note}")
     return 0
 
 

@@ -34,6 +34,7 @@ Errors:
 
 from __future__ import annotations
 
+import os
 from typing import TYPE_CHECKING
 
 from .core import (
@@ -53,7 +54,7 @@ from .core import (
     parse_formula,
 )
 from .diagnostics import Diagnostic, Severity, SourceSpan, _json_text, _Record, _replace, _set
-from .parser import ParseError, _read_source, parse
+from .parser import ParseError, _parse, _read_source
 
 if TYPE_CHECKING:
     from pathlib import Path
@@ -373,20 +374,25 @@ def integrate(views: list[ClassDiagram]) -> ClassDiagram:
 
 
 def diagram_to_json_obj(d: ClassDiagram) -> dict:
-    classes = []
-    for cls in d.classes:
-        obj: dict = {"name": cls.name, "kind": cls.kind}
-        if cls.parent is not None:
-            obj["parent"] = cls.parent
-        obj["attributes"] = [_attribute_to_json(a) for a in cls.attributes]
-        classes.append(obj)
-    associations = []
-    for assoc in d.associations:
-        aobj: dict = {"from": assoc.source, "to": assoc.target, "kind": assoc.kind}
-        if assoc.multiplicity is not None:
-            aobj["multiplicity"] = assoc.multiplicity
-        associations.append(aobj)
-    return {"classes": classes, "associations": associations}
+    return {
+        "classes": [_class_to_json(c) for c in d.classes],
+        "associations": [_association_to_json(a) for a in d.associations],
+    }
+
+
+def _class_to_json(cls: ClassSpec) -> dict:
+    obj: dict = {"name": cls.name, "kind": cls.kind}
+    if cls.parent is not None:
+        obj["parent"] = cls.parent
+    obj["attributes"] = [_attribute_to_json(a) for a in cls.attributes]
+    return obj
+
+
+def _association_to_json(assoc: Association) -> dict:
+    obj: dict = {"from": assoc.source, "to": assoc.target, "kind": assoc.kind}
+    if assoc.multiplicity is not None:
+        obj["multiplicity"] = assoc.multiplicity
+    return obj
 
 
 def _attribute_to_json(a: Attribute) -> dict:
@@ -435,7 +441,10 @@ _PLANTUML_MULT = {"one": "1", "many": "*"}
 def export_diagram(d: ClassDiagram, fmt: str = "json") -> str:
     """Serialise a diagram: ``json`` (schema above) or ``plantuml``."""
     if fmt == "json":
-        return _json_text(diagram_to_json_obj(d)) + "\n"
+        # The object of ``diagram_to_json_obj``, its items made one at a time
+        # as the writer reaches them, so only one class's object is alive.
+        items = {"classes": map(_class_to_json, d.classes), "associations": map(_association_to_json, d.associations)}
+        return _json_text(items) + "\n"
     if fmt != "plantuml":
         raise ValueError(f"unknown diagram format {fmt!r}")
     lines = ["@startuml"]
@@ -488,35 +497,51 @@ def _uml_attribute(a: Attribute) -> str:
 def load_events_manifest(path: str | Path) -> list[CommunicativeEvent]:
     """Read a JSON array of ``{id, name, order, file}`` entries, parse each
     referenced ``.ms`` file (paths resolve relative to the manifest), and
-    return the events sorted by (order, id)."""
+    return the events sorted by (order, id). The parses share one string per
+    name (``parser._parse``): the events of one process describe the same
+    business objects, so their structures repeat the same names."""
     import json
-    from pathlib import Path
 
-    manifest_path = Path(path)
+    manifest_path = _path_text(os.fspath(path))
     try:
-        raw = json.loads(manifest_path.read_text(encoding="utf-8"))
+        with open(manifest_path, encoding="utf-8") as f:
+            raw = json.loads(f.read())
     except RecursionError:  # nested deeper than the decoder follows
         raise ValueError("events manifest is nested too deep") from None
     if not isinstance(raw, list):
         raise ValueError("events manifest must be a JSON array")
+    folder = os.path.dirname(manifest_path)
+    names: dict[str, str] = {}
     events = []
     for entry in raw:
         try:
-            ms_path = manifest_path.parent / entry["file"]
+            ms_path = _path_text(os.path.join(folder, entry["file"]))
             event_id = str(entry["id"])
             name = str(entry["name"])
             order = int(entry["order"])
         except (KeyError, TypeError, OverflowError) as exc:
             raise ValueError(f"bad manifest entry {entry!r}: {exc}") from None
         try:
-            structure = parse(_read_source(ms_path))
+            structure = _parse(_read_source(ms_path), names)
         except OSError as exc:
             raise ValueError(f"cannot read {ms_path}: {exc}") from None
         except ParseError as exc:
-            raise _ManifestParseError(str(ms_path), exc) from None
-        events.append(CommunicativeEvent(event_id, name, order, structure, str(ms_path)))
+            raise _ManifestParseError(ms_path, exc) from None
+        events.append(CommunicativeEvent(event_id, name, order, structure, ms_path))
     events.sort(key=lambda e: (e.order, e.id))
     return events
+
+
+def _path_text(path: str) -> str:
+    """``str(pathlib.Path(path))`` on POSIX: empty and ``.`` parts dropped,
+    ``..`` kept, and ``.`` for no parts. ``pathlib`` is not used because it
+    interns every part of every path, and the dead interned strings of each
+    load fill the interpreter's table of them until it is rebuilt."""
+    if path[:2] == "//" and path[2:3] != "/":
+        root = "//"  # POSIX leaves two leading slashes to the system; pathlib keeps them
+    else:
+        root = "/" if path[:1] == "/" else ""
+    return root + "/".join(part for part in path.split("/") if part not in ("", ".")) or "."
 
 
 class _ManifestParseError(Exception):

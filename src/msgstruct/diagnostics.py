@@ -5,6 +5,7 @@ the package's JSON writer."""
 from __future__ import annotations
 
 from enum import Enum
+from itertools import chain
 from operator import attrgetter
 
 # Sets a field of a record in its ``__init__``, past the frozen ``__setattr__``.
@@ -181,10 +182,16 @@ def has_errors(diagnostics: list[Diagnostic]) -> bool:
     return any(d.severity is Severity.ERROR for d in diagnostics)
 
 
+# What ``next`` gives for an iterator with no items left.
+_NO_ITEM = object()
+
+
 def _json_text(obj: object) -> str:
     """``json.dumps(obj, indent=2, ensure_ascii=False)``, byte for byte, for
     dicts with string keys, lists, tuples and scalars: strings and other
-    scalars are encoded by the functions that ``json`` itself uses.
+    scalars are encoded by the functions that ``json`` itself uses. An
+    iterator is written as the list of its items, taken one at a time, so a
+    caller can hand over items that are made only as they are written.
 
     The text is written top-down from an explicit stack, so it is written at
     any depth, where the indenting encoder in ``json`` recurses once per level.
@@ -196,6 +203,8 @@ def _json_text(obj: object) -> str:
 
     string = json.encoder.encode_basestring
     scalar = json.JSONEncoder(ensure_ascii=False).encode  # also "{}" and "[]"
+    if hasattr(obj, "__next__"):  # an iterator at the top is read whole first
+        obj = list(obj)
     if not (isinstance(obj, (dict, list, tuple)) and obj):
         return scalar(obj)
     out: list[str] = []
@@ -225,6 +234,13 @@ def _json_text(obj: object) -> str:
                     out.append(head + string(value))
                 elif isinstance(value, (dict, list, tuple)) and value:
                     break  # to open it
+                elif hasattr(value, "__next__"):  # an iterator: a list, "[]" if empty
+                    first = next(value, _NO_ITEM)
+                    if first is _NO_ITEM:
+                        out.append(head + "[]")
+                        continue
+                    value = chain((first,), value)
+                    break
                 else:
                     out.append(head + scalar(value))
             else:

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from functools import cache
+from functools import cache, partial
 from itertools import accumulate
 from typing import TYPE_CHECKING, NoReturn
 
@@ -181,8 +181,22 @@ _Entries = dict[str, tuple[str, int, int]]
 
 def parse(text: str) -> MessageStructure:
     """Parse one message structure from text (compact or tabular layout)."""
+    return _parse(text, None)
+
+
+def _parse(text: str, names: dict[str, str] | None) -> MessageStructure:
+    """``parse``; given ``names``, each name read is looked up there and its
+    first string kept, so the structures parsed with one table share one
+    string per name (``load_events_manifest``). ``parse`` gives none: the
+    names of one structure seldom repeat, and the lookups cost ~2% of it."""
     text = text.lstrip("﻿").replace("\r\n", "\n").replace("\r", "\n")
-    return _Parser(text).parse_structure()
+    return _Parser(text, names).parse_structure()
+
+
+def _kept(keep, raw: str) -> str:
+    """The name ``raw`` spells, as ``keep`` (a table's ``setdefault``) keeps it."""
+    name = _single_spaced(raw)
+    return keep(name, name)
 
 
 def _read_source(path: str | Path) -> str:
@@ -215,10 +229,13 @@ class _Parser:
     Most fields take a fast path (``_fast_field``): one match reads the
     name's annotation or row and the token after it. What that match does
     not take, the token loop and the entry loop read, and they report every
-    diagnostic. Both paths build properties with ``_properties``."""
+    diagnostic. Both paths build properties with ``_properties``.
 
-    def __init__(self, text: str):
+    ``spell`` gives the name that a name token spells (``_parse``)."""
+
+    def __init__(self, text: str, names: dict[str, str] | None):
         self.text = text
+        self.spell = _single_spaced if names is None else partial(_kept, names.setdefault)
         lines = text.split("\n")
         self.line_starts = [0, *accumulate(len(line) + 1 for line in lines)]
         # The header row is the first line that is not blank or a comment,
@@ -291,7 +308,7 @@ class _Parser:
                 properties, end = _properties(*values), m.end("annotation")
         except ValueError:
             return None
-        field = Field(_single_spaced(self.name), properties, self._span(self.start, end))
+        field = Field(self.spell(self.name), properties, self._span(self.start, end))
         if tail is not None:
             self.cells = m.end("tail")
             self._next()
@@ -334,7 +351,7 @@ class _Parser:
                 self._fail("P007", f"unexpected end of input, expected {context}", start)
             self._fail("P007", f"unexpected character {self.ch!r}, expected {context}", start)
         self._next()
-        return _single_spaced(name), start, end
+        return self.spell(name), start, end
 
     # -- grammar ---------------------------------------------------------------
 

@@ -191,6 +191,40 @@ def test_the_json_writer_writes_what_json_dumps_writes(value):
     assert _json_text(value) == json.dumps(value, indent=2, ensure_ascii=False)
 
 
+class _Items(list):
+    """A list that the law below hands to the writer as an iterator."""
+
+
+def _as_iterators(value):
+    """``value`` with each ``_Items`` in it, at any depth, made a ``map``
+    object, whose items are made only as the writer takes them."""
+    if isinstance(value, _Items):
+        return map(_as_iterators, value)
+    if isinstance(value, dict):
+        return {key: _as_iterators(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return type(value)(map(_as_iterators, value))
+    return value
+
+
+_JSON_VALUES_WITH_ITEMS = st.recursive(
+    _JSON_SCALARS | st.sampled_from([[], {}, ()]) | st.builds(_Items),
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(_Items)
+    | st.dictionaries(_JSON_STRINGS, children, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_JSON_VALUES_WITH_ITEMS)
+def test_the_json_writer_writes_an_iterator_as_a_list(value):
+    from msgstruct.diagnostics import _json_text
+
+    # json.dumps writes each _Items as the list it is.
+    assert _json_text(_as_iterators(value)) == json.dumps(value, indent=2, ensure_ascii=False)
+
+
 def test_the_json_writer_writes_a_list_5000_levels_deep():
     from msgstruct.diagnostics import _json_text
 
@@ -588,6 +622,23 @@ def test_a_closed_pipe_exits_2_with_one_error_line(corpus_dir):
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=corpus_dir, env=cli_env(),
     )
     child.stdout.read(10)  # as `| head -c 10` does
+    child.stdout.close()
+    err = child.stderr.read().decode("utf-8")
+    child.stderr.close()
+    _assert_one_write_error(child.wait(timeout=60), err)
+
+
+@pytest.mark.parametrize("argv", [["derive", "--force", "--events", "wide.json"], ["parse", "--json", "wide.ms"]])
+def test_a_pipe_closed_under_unbuffered_output_exits_2_with_one_error_line(corpus_dir, argv):
+    # Unbuffered, stdout's byte layer is the file itself: a write that the
+    # reader's going away cuts short returns a short count, not an error.
+    _write_wide_document(corpus_dir)
+    (corpus_dir / "wide.json").write_text('[{"id": "E1", "name": "wide", "order": 0, "file": "wide.ms"}]', encoding="utf-8")
+    child = subprocess.Popen(
+        [sys.executable, "-m", "msgstruct", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=corpus_dir, env=cli_env(PYTHONUNBUFFERED="1"),
+    )
+    child.stdout.read(10)
     child.stdout.close()
     err = child.stderr.read().decode("utf-8")
     child.stderr.close()
