@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import re
 from functools import cache
+from operator import attrgetter
 from typing import Iterator, Union
 
 from .diagnostics import SourceSpan, _Record, _replace, _set
@@ -69,6 +70,7 @@ class FieldRef(_Record):
     """Reference to a sibling field's value, written ``:Field name``."""
 
     __slots__ = ("name",)
+    parts = ()
 
     def __init__(self, name: str) -> None:
         _set(self, "name", name)
@@ -78,6 +80,7 @@ class Number(_Record):
     """Numeric literal in a formula, e.g. ``100`` or ``0.21``."""
 
     __slots__ = ("value",)
+    parts = ()
 
     def __init__(self, value: Union[int, float]) -> None:
         _set(self, "value", value)
@@ -87,6 +90,7 @@ class Text(_Record):
     """Quoted string literal in a formula, e.g. ``'EUR'``."""
 
     __slots__ = ("value",)
+    parts = ()
 
     def __init__(self, value: str) -> None:
         _set(self, "value", value)
@@ -96,6 +100,7 @@ class BinaryOp(_Record):
     """Arithmetic on two sub-formulas, e.g. ``:Price * :Quantity``."""
 
     __slots__ = ("op", "left", "right")
+    parts = property(attrgetter("left", "right"))
 
     def __init__(self, op: str, left: Formula, right: Formula) -> None:
         _set(self, "op", op)  # one of + - * /
@@ -113,6 +118,8 @@ class Call(_Record):
         _set(self, "args", args)
 
 
+Call.parts = Call.args
+
 Formula = Union[FieldRef, Number, Text, BinaryOp, Call]
 
 _PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
@@ -121,9 +128,23 @@ _TIGHTEST = max(_PRECEDENCE.values())
 
 def formula_to_text(f: Formula) -> str:
     """Render a formula to its canonical textual form (re-parseable)."""
+    return _fold(f, _formula_text)
+
+
+def _formula_text(f: Formula, parts: list[str]) -> str:
+    """The text of formula node ``f``, given the texts of its parts."""
     match f:
         case FieldRef(name):
             return f":{name}"
+        case BinaryOp(op, left, right):
+            lhs, rhs = parts
+            if type(left) is BinaryOp and _PRECEDENCE[left.op] < _PRECEDENCE[op]:
+                lhs = f"({lhs})"
+            if type(right) is BinaryOp and _PRECEDENCE[right.op] <= _PRECEDENCE[op]:
+                rhs = f"({rhs})"
+            return f"{lhs} {op} {rhs}"
+        case Call(name):
+            return f"{name}({', '.join(parts)})"
         case Number(value):
             # Positional, as the number token reads it: 1e-05 is 0.00001.
             text = repr(value)
@@ -134,35 +155,17 @@ def formula_to_text(f: Formula) -> str:
             return text if "." in text or isinstance(value, int) else text + ".0"
         case Text(value):
             return "'" + value.replace("\\", "\\\\").replace("'", "\\'") + "'"
-        case Call(name, args):
-            return f"{name}({', '.join(formula_to_text(a) for a in args)})"
-        case BinaryOp(op, left, right):
-            lhs = formula_to_text(left)
-            rhs = formula_to_text(right)
-            if isinstance(left, BinaryOp) and _PRECEDENCE[left.op] < _PRECEDENCE[op]:
-                lhs = f"({lhs})"
-            if isinstance(right, BinaryOp) and _PRECEDENCE[right.op] <= _PRECEDENCE[op]:
-                rhs = f"({rhs})"
-            return f"{lhs} {op} {rhs}"
     raise TypeError(f"not a formula node: {f!r}")
 
 
 def formula_refs(f: Formula) -> list[str]:
     """Field names referenced anywhere inside a formula, in reading order."""
-    match f:
-        case FieldRef(name):
-            return [name]
-        case BinaryOp(_, left, right):
-            return formula_refs(left) + formula_refs(right)
-        case Call(_, args):
-            return [r for a in args for r in formula_refs(a)]
-        case _:
-            return []
+    return [n.name for n in walk(f) if type(n) is FieldRef]
 
 
-# The deepest nesting of a formula (see ``_FormulaParser``). A formula at
-# this depth, inside a structure ``MAX_NESTING`` deep, still parses, prints,
-# compares and hashes within the interpreter's default recursion limit.
+# The deepest nesting of a formula (see ``_FormulaParser``). Printing takes
+# any depth; a formula at this one, inside a structure ``MAX_NESTING`` deep,
+# still parses, compares and hashes within the default recursion limit.
 _MAX_FORMULA_DEPTH = 64
 
 
@@ -474,20 +477,21 @@ def _check_link(link: str) -> None:
 class _Node(_Record):
     """Structural equality for the tree's nodes: equal class and equal flat
     keys, read off ``walk`` without recursion. A key has one entry per node
-    (kind, name, and a field's properties or a complex node's child counts)
+    (kind, name, and a field's properties or a complex node's part counts)
     and leaves spans out."""
 
     __slots__ = ()
 
     def _key(self) -> tuple:
-        key: list = [self.name] if isinstance(self, MessageStructure) else []
+        key: list = []
         for node in walk(self):
-            if isinstance(node, Field):
+            kind = type(node)
+            if kind is Field:
                 key.append((Field, node.name, node.properties))
-            elif isinstance(node, Specialisation):
+            elif kind is Specialisation:
                 key.append((Specialisation, node.name, tuple(map(len, node.variants))))
             else:
-                key.append((type(node), node.name, len(node.children)))
+                key.append((kind, node.name, len(node.parts)))
         return tuple(key)
 
     def __eq__(self, other: object) -> bool:
@@ -503,6 +507,7 @@ class Field(_Node):
     """Leaf element: a basic informational unit of the message."""
 
     __slots__ = ("name", "properties", "span")
+    parts = ()
 
     def __init__(
         self, name: str, properties: FieldProperties = EMPTY_PROPERTIES, span: SourceSpan | None = None
@@ -556,6 +561,12 @@ class Specialisation(_Node):
         _set(self, "span", span)
 
 
+# The parts the traversals read; a variant is a tuple, its own parts.
+Aggregation.parts = Aggregation.children
+Iteration.parts = Iteration.children
+Specialisation.parts = Specialisation.variants
+
+
 def _check_complex(name: str | None, parts: tuple, empty="complex substructure needs at least one child") -> None:
     if name is not None and not IDENTIFIER_RE.fullmatch(name):
         raise ValueError(f"invalid substructure name {name!r}")
@@ -583,35 +594,34 @@ class MessageStructure(_Node):
         _set(self, "root", root)
         _set(self, "span", span)
 
+    def _key(self) -> tuple:
+        return self.name, self.root._key()
+
 
 # ---------------------------------------------------------------------------
 # Traversal
 # ---------------------------------------------------------------------------
 
 
-def walk(node: MessageStructure | Substructure) -> Iterator[Substructure]:
-    """Depth-first pre-order over every substructure, each visited once.
-
-    A structure yields its root first; a specialisation's variants come in
-    order, and the children of each variant in order. The traversal keeps
-    an explicit stack, so it is linear in the number of nodes at any depth
-    and never meets the interpreter's recursion limit. So do node ``==``
-    and ``hash``, which compare keys read off this walk, every stage built
-    on ``_traverse``, and ``repr``, which keeps a stack of its own.
-    """
-    stack = [node.root if isinstance(node, MessageStructure) else node]
+def walk(node: MessageStructure | Substructure | Formula) -> Iterator[Substructure | Formula]:
+    """Depth-first pre-order over every node of a structure (from its root)
+    or of a formula, each visited once; a specialisation's variants come in
+    order, and the children of each variant in order. It reads each node's
+    ``parts`` off an explicit stack, so it is linear in the number of nodes
+    at any depth and never meets the interpreter's recursion limit."""
+    stack = [getattr(node, "root", node)]
     while stack:
         node = stack.pop()
         yield node
-        if isinstance(node, (Aggregation, Iteration)):
-            stack.extend(reversed(node.children))
-        elif isinstance(node, Specialisation):
-            for variant in reversed(node.variants):
-                stack.extend(reversed(variant))
+        parts = node.parts
+        if parts:
+            if type(parts[0]) is tuple:  # a specialisation's variants
+                parts = [child for variant in parts for child in variant]
+            stack.extend(reversed(parts))
 
 
 def iter_fields(node: MessageStructure | Substructure) -> Iterator[Field]:
-    return (n for n in walk(node) if isinstance(n, Field))
+    return (n for n in walk(node) if not n.parts)
 
 
 def field_names(node: MessageStructure | Substructure) -> list[str]:
@@ -621,13 +631,12 @@ def field_names(node: MessageStructure | Substructure) -> list[str]:
 _LEAVE = object()
 
 
-def _traverse(node: Substructure) -> Iterator[tuple[bool, Substructure | tuple]]:
-    """Depth-first over the items under ``node``, with an explicit stack.
-    An item (a substructure, or a specialisation's variant, which is a tuple
-    of substructures) is yielded as ``(True, item)`` on entry and, unless it
-    is a field, as ``(False, item)`` after its parts. So an item entered
-    right after another's entry is its first part; any other follows a
-    sibling."""
+def _traverse(node: Substructure | Formula) -> Iterator[tuple[bool | None, Substructure | Formula | tuple]]:
+    """Depth-first over the items under ``node`` (nodes, and variants),
+    with an explicit stack. An item with parts is yielded as ``(True, item)``
+    on entry and ``(False, item)`` after its parts; a leaf, once, as
+    ``(None, item)``. So an item entered right after another's entry is its
+    first part; any other follows a sibling."""
     # Items left to enter, and the leave mark with the item it closes.
     stack: list = [node]
     while stack:
@@ -635,35 +644,27 @@ def _traverse(node: Substructure) -> Iterator[tuple[bool, Substructure | tuple]]
         if item is _LEAVE:
             yield False, stack.pop()
             continue
-        yield True, item
-        if isinstance(item, Field):
+        parts = item if type(item) is tuple else item.parts
+        if not parts:
+            yield None, item
             continue
-        if isinstance(item, tuple):
-            parts = item
-        elif isinstance(item, Specialisation):
-            parts = item.variants
-        else:
-            parts = item.children
+        yield True, item
         stack += (item, _LEAVE)
         stack.extend(reversed(parts))
 
 
-def _fold(node: Substructure, build):
+def _fold(node: Substructure | Formula, build):
     """Post-order fold over ``_traverse``: ``build(item, results)`` gets each
-    item with the list of its parts' results and returns the item's own."""
-    results: list = []
-    starts: list[int] = []
+    item with the list of its parts' results (empty for a leaf) and returns
+    the item's own. ``results`` holds one list per open item."""
+    results: list = [[]]
     for entering, item in _traverse(node):
-        if isinstance(item, Field):
-            results.append(build(item, []))
-        elif entering:
-            starts.append(len(results))
+        if entering:
+            results.append([])
         else:
-            start = starts.pop()
-            value = build(item, results[start:])
-            del results[start:]
-            results.append(value)
-    return results[0]
+            value = build(item, () if entering is None else results.pop())
+            results[-1].append(value)
+    return results[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -683,16 +684,16 @@ def canonicalize(ms: MessageStructure) -> MessageStructure:
     """
 
     def build(item: Substructure | tuple, parts: list) -> Substructure | tuple:
-        if isinstance(item, Field):
+        if not parts:
             return item
-        if isinstance(item, tuple):
+        kind = type(item)
+        if kind is tuple:
             return tuple(parts)
-        if isinstance(item, Aggregation):
-            return Aggregation(None, tuple(parts), span=item.span)
-        if isinstance(item, Iteration):
-            return Iteration(None, (_wrap(tuple(parts), item.span),), span=item.span)
-        variants = tuple((_wrap(variant, item.span),) for variant in parts)
-        return Specialisation(None, variants, span=item.span)
+        if kind is Iteration:
+            parts = [_wrap(tuple(parts), item.span)]
+        elif kind is Specialisation:
+            parts = [(_wrap(variant, item.span),) for variant in parts]
+        return kind(None, tuple(parts), span=item.span)
 
     return _replace(ms, root=_fold(ms.root, build))
 
@@ -725,7 +726,7 @@ def equivalent(a: MessageStructure, b: MessageStructure) -> bool:
 
 def _shape(ms: MessageStructure) -> tuple:
     # The structure name, then one token per node of the canonical tree in
-    # pre-order: a field's name, or a complex node's kind and child count.
+    # pre-order: a field's name, or a complex node's kind and part count.
     # The counts make the token sequence determine the tree, and a flat
     # tuple compares without recursion however deep the tree is.
     #
@@ -736,24 +737,21 @@ def _shape(ms: MessageStructure) -> tuple:
     stack: list = [ms.root]
     while stack:
         node = stack.pop()
-        if isinstance(node, Field):
-            tokens.append(node.name)
-        elif isinstance(node, tuple):
+        kind = type(node)
+        if kind is tuple:
             only = _lone_aggregation(node)
             if only is not None:
                 stack.append(only)
-            else:
-                tokens.append((Aggregation, len(node)))
-                stack.extend(reversed(node))
-        elif isinstance(node, Aggregation):
-            tokens.append((Aggregation, len(node.children)))
-            stack.extend(reversed(node.children))
-        elif isinstance(node, Iteration):
-            tokens.append((Iteration, 1))
-            stack.append(node.children)
-        elif isinstance(node, Specialisation):
-            tokens.append((Specialisation, len(node.variants)))
-            stack.extend(reversed(node.variants))
+                continue
+            kind, parts = Aggregation, node
         else:
-            raise TypeError(f"not a substructure: {node!r}")
+            parts = node.parts
+        if not parts:
+            tokens.append(node.name)
+        elif kind is Iteration:
+            tokens.append((Iteration, 1))
+            stack.append(parts)
+        else:
+            tokens.append((kind, len(parts)))
+            stack.extend(reversed(parts))
     return tuple(tokens)

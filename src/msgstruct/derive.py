@@ -39,7 +39,6 @@ from typing import TYPE_CHECKING
 
 from .core import (
     Domain,
-    Field,
     Formula,
     Iteration,
     MessageStructure,
@@ -299,7 +298,7 @@ def derive_view(event: CommunicativeEvent) -> ClassDiagram:
     cls, optional, spec = builder.add_class(class_name(event.structure.name), "defined"), False, None
     saved: list[tuple[str, bool, Specialisation | None]] = []
     for entering, item in _traverse(event.structure.root):
-        if isinstance(item, Field):
+        if entering is None:  # a field
             domain, acquisition = item.properties.domain, item.properties.acquisition
             if isinstance(domain, ReferenceDomain):
                 target = builder.add_class(class_name(domain.target), "referenced")
@@ -314,18 +313,18 @@ def derive_view(event: CommunicativeEvent) -> ClassDiagram:
             cls, optional, spec = saved.pop()
             continue
         saved.append((cls, optional, spec))
-        if isinstance(item, Iteration):
+        if type(item) is Iteration:
             raw = _canonical_name(item.children) or item.name or f"{cls}_item"
             item_cls = builder.add_class(class_name(raw), "defined")
             builder.associate(Association(cls, item_cls, "composition", "many"))
             cls, optional = item_cls, False
-        elif isinstance(item, Specialisation):
+        elif type(item) is Specialisation:
             # One variant means the content is optional, not an alternative.
             if len(item.variants) == 1:
                 optional = True
             else:
                 spec = item
-        elif isinstance(item, tuple) and spec is not None:
+        elif type(item) is tuple and spec is not None:
             name = _canonical_name(item)
             if name is None:
                 node = _lone_aggregation(item)

@@ -114,16 +114,16 @@ def fragment_1nf(ms: MessageStructure) -> list[Fragment]:
     current = _FragmentBuilder(ms.name, 0, None)
     fragments = [current]
     for entering, item in _traverse(ms.root):
-        if isinstance(item, Field):
+        if entering is None:  # a field
             current.fields.append(item)
-        elif isinstance(item, Iteration):
+        elif type(item) is Iteration:
             if entering:
                 label = _iteration_label(item, current)
                 current = _FragmentBuilder(f"{current.id}/{label}", current.depth + 1, current)
                 fragments.append(current)
             else:
                 current = current.parent
-        elif isinstance(item, Specialisation) and entering:
+        elif entering and type(item) is Specialisation:
             current.discriminators.append(_discriminator_note(item))
     return [b.freeze() for b in fragments]
 

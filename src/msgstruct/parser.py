@@ -619,25 +619,27 @@ def _compact(root: Substructure) -> str:
     elided: set[int] = set()  # the open aggregations written without brackets
     after_entry = True
     for entering, item in _traverse(root):
-        if entering and not after_entry:
-            out.append("|" if isinstance(item, tuple) else "+")
-        after_entry = entering and not isinstance(item, Field)
-        if isinstance(item, Field):
+        kind = type(item)
+        # An item entered (a field: None) not right after its parent follows a sibling.
+        if not after_entry and entering is not False:
+            out.append("|" if kind is tuple else "+")
+        after_entry = entering
+        if entering is None:
             mapping = item.properties.to_mapping()
             out.append(f"{item.name} {_annotation(mapping)}" if mapping else item.name)
-        elif isinstance(item, tuple) or id(item) in elided:
+        elif kind is tuple or id(item) in elided:
             if not entering:
                 elided.discard(id(item))
         elif entering:
-            opener = _BRACKETS[type(item)][0]
+            opener = _BRACKETS[kind][0]
             out.append(f"{item.name}={opener}" if item.name else opener)
         else:
-            out.append(_BRACKETS[type(item)][1])
+            out.append(_BRACKETS[kind][1])
         # The single anonymous aggregation implicit in an iteration body or a
         # variant is left out, except when its own single child is an
         # aggregation (eliding would merge two nesting levels on re-parse).
-        if entering and isinstance(item, (Iteration, tuple)):
-            only = _lone_aggregation(item if isinstance(item, tuple) else item.children)
+        if entering and (kind is tuple or kind is Iteration):
+            only = _lone_aggregation(item if kind is tuple else item.children)
             if only is not None and only.name is None and _lone_aggregation(only.children) is None:
                 elided.add(id(only))
     return "".join(out)
@@ -669,26 +671,27 @@ def _tabular(ms: MessageStructure) -> str:
     pending = ""
     after_entry = True
     for entering, item in _traverse(ms.root):
-        if entering and not after_entry:
+        kind = type(item)
+        if not after_entry and entering is not False:
             # A separator ends the row of the sibling before.
-            rows[-1].text += " |" if isinstance(item, tuple) else " +"
+            rows[-1].text += " |" if kind is tuple else " +"
             rows[-1].can_absorb = False
-        after_entry = entering and not isinstance(item, Field)
-        if isinstance(item, Field):
+        after_entry = entering
+        if entering is None:
             rows.append(_Row(pending + item.name, item, absorb=True))
             pending = ""
-        elif isinstance(item, tuple):
+        elif kind is tuple:
             continue
         elif entering:
             if item.name:
                 rows.append(_Row(pending + item.name + " ="))
                 pending = ""
-            pending += _BRACKETS[type(item)][0] + " "
+            pending += _BRACKETS[kind][0] + " "
         elif rows[-1].can_absorb:
-            rows[-1].text += " " + _BRACKETS[type(item)][1]
+            rows[-1].text += " " + _BRACKETS[kind][1]
             rows[-1].can_absorb = False
         else:
-            rows.append(_Row(_BRACKETS[type(item)][1]))
+            rows.append(_Row(_BRACKETS[kind][1]))
 
     lines = ["\t".join(_TAB_HEADER)]
     for row in rows:
@@ -723,13 +726,11 @@ def structure_to_json_obj(ms: MessageStructure) -> dict:
     vocabulary (op/domain/example/...)."""
 
     def build(item: Substructure | tuple, parts: list) -> dict | list:
-        if isinstance(item, Field):
+        if not parts:
             return {"kind": "field", "name": item.name, "properties": item.properties.to_mapping()}
-        if isinstance(item, tuple):
+        if type(item) is tuple:
             return parts
-        if isinstance(item, Specialisation):
-            return {"kind": "specialisation", "name": item.name, "variants": parts}
-        kind = "aggregation" if isinstance(item, Aggregation) else "iteration"
-        return {"kind": kind, "name": item.name, "children": parts}
+        kind = type(item).__name__.lower()
+        return {"kind": kind, "name": item.name, "variants" if kind == "specialisation" else "children": parts}
 
     return {"name": ms.name, "root": _fold(ms.root, build)}

@@ -13,23 +13,30 @@ from msgstruct.core import (
     Acquisition,
     Aggregation,
     BasicDomain,
+    BinaryOp,
+    Call,
     EnumeratedDomain,
     Field,
     FieldProperties,
+    FieldRef,
     Iteration,
     MessageStructure,
+    Number,
     ReferenceDomain,
     Specialisation,
+    Text,
     _shape,
     canonicalize,
     equivalent,
     field_names,
+    formula_refs,
+    formula_to_text,
     iter_fields,
     walk,
 )
 from msgstruct.derive import ClassDiagram, CommunicativeEvent, DerivationError, derive_view, export_diagram
 from msgstruct.diagnostics import SourceSpan
-from msgstruct.fragment import fragment_1nf
+from msgstruct.fragment import fragment_1nf, fragments_to_json_obj
 from msgstruct.lint import Phase, guideline_checks, lint
 from msgstruct.parser import parse, structure_to_json_obj, to_text
 from properties import prop_canonicalize_idempotent, prop_equivalence_relation
@@ -367,3 +374,119 @@ def test_traversals_of_trees_built_in_code_ignore_depth(wrap, fields, opener, cl
     assert text.startswith("MessageStructure(name='M', root=Aggregation(name=None, children=(")
     assert sum(map(text.count, ("Aggregation(", "Iteration(", "Specialisation("))) == _DEEP + 1
     assert text.count("Field(") == len(fields) and text.endswith("span=None),), span=None), span=None)")
+
+
+# A formula built in code nests as deep as it likes: left-deep, right-deep
+# (every level parenthesised), and calls in calls. Each is printed, has its
+# references read, and goes through every stage that prints or reads it.
+def _left_chain(depth):
+    f = FieldRef("a")
+    for _ in range(depth):
+        f = BinaryOp("+", f, FieldRef("b"))
+    return f, ":a" + " + :b" * depth, ["a"] + ["b"] * depth
+
+
+def _right_chain(depth):
+    f = FieldRef("a")
+    for _ in range(depth):
+        f = BinaryOp("-", FieldRef("b"), f)
+    return f, ":b - (" * (depth - 1) + ":b - :a" + ")" * (depth - 1), ["b"] * depth + ["a"]
+
+
+def _nested_calls(depth):
+    f = FieldRef("a")
+    for _ in range(depth):
+        f = Call("g", (f,))
+    return f, "g(" * depth + ":a" + ")" * depth, ["a"]
+
+
+@pytest.mark.parametrize("chain", [_left_chain, _right_chain, _nested_calls], ids=["left", "right", "calls"])
+def test_formulas_built_in_code_ignore_depth(chain):
+    formula, text, refs = chain(_DEEP)
+    assert formula_to_text(formula) == text
+    assert formula_refs(formula) == refs
+
+    props = FieldProperties(Acquisition("d", formula), BasicDomain("number"))
+    ms = MessageStructure("M", Aggregation(None, (Field("a"), Field("t", props))))
+    annotation = f'formula="{text}"'
+    assert to_text(ms) == f"M=<a+t (op=d; domain=number; {annotation})>"
+    assert to_text(ms, "tabular").splitlines()[-1] == f"t >\td\tnumber\t\t({annotation})"
+    assert structure_to_json_obj(ms)["root"]["children"][1]["properties"]["formula"] == text
+    assert fragments_to_json_obj(fragment_1nf(ms))["fragments"][0]["fields"][1]["formula"] == text
+    # G2 reads the references: each reference to the missing field 'b' is one.
+    for phase in Phase:
+        assert [d.code for d in guideline_checks(ms, phase)] == ["G2"] * refs.count("b")
+
+    view = derive_view(CommunicativeEvent("EV1", "deep", 1, ms))
+    assert f'"formula": "{text}"' in export_diagram(view, "json")
+    assert f"t : number <<derived>> = {text}" in export_diagram(view, "plantuml")
+
+
+_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
+
+
+def _reference_formula_text(f):
+    """Recursive printing: the definition ``formula_to_text`` must agree with."""
+    if isinstance(f, FieldRef):
+        return f":{f.name}"
+    if isinstance(f, Number):
+        text = repr(f.value)
+        if "e" in text:
+            from decimal import Decimal
+
+            text = f"{Decimal(text):f}"
+        return text if "." in text or isinstance(f.value, int) else text + ".0"
+    if isinstance(f, Text):
+        return "'" + f.value.replace("\\", "\\\\").replace("'", "\\'") + "'"
+    if isinstance(f, Call):
+        return f"{f.name}({', '.join(map(_reference_formula_text, f.args))})"
+    lhs, rhs = _reference_formula_text(f.left), _reference_formula_text(f.right)
+    if isinstance(f.left, BinaryOp) and _PRECEDENCE[f.left.op] < _PRECEDENCE[f.op]:
+        lhs = f"({lhs})"
+    if isinstance(f.right, BinaryOp) and _PRECEDENCE[f.right.op] <= _PRECEDENCE[f.op]:
+        rhs = f"({rhs})"
+    return f"{lhs} {f.op} {rhs}"
+
+
+def _reference_formula_refs(f):
+    """Recursive reading order of the references."""
+    if isinstance(f, FieldRef):
+        return [f.name]
+    if isinstance(f, BinaryOp):
+        return _reference_formula_refs(f.left) + _reference_formula_refs(f.right)
+    if isinstance(f, Call):
+        return [name for arg in f.args for name in _reference_formula_refs(arg)]
+    return []
+
+
+@_DIFFERENTIAL
+@given(strat.formulas(depth=4))
+def test_differential_formula_text_and_refs(formula):
+    assert formula_to_text(formula) == _reference_formula_text(formula)
+    assert formula_refs(formula) == _reference_formula_refs(formula)
+
+
+_STRAY = "x"  # not a node: the constructors take it, every traversal refuses it
+
+
+def _with_stray():
+    return MessageStructure("M", Aggregation(None, (Field("a"), Iteration(None, (Field("b"), _STRAY)))))
+
+
+@pytest.mark.parametrize(
+    "use",
+    [
+        lambda ms: list(walk(ms)),
+        lambda ms: equivalent(ms, ms),
+        lambda ms: ms == _with_stray(),
+        canonicalize,
+        to_text,
+        lambda ms: to_text(ms, "tabular"),
+        fragment_1nf,
+        lambda ms: derive_view(CommunicativeEvent("EV1", "stray", 1, ms)),
+    ],
+    ids=["walk", "equivalent", "eq", "canonicalize", "compact", "tabular", "fragment_1nf", "derive_view"],
+)
+def test_a_child_that_is_not_a_node_is_refused_by_every_traversal(use):
+    with pytest.raises(AttributeError, match="'str' object has no attribute"):
+        use(_with_stray())

@@ -218,6 +218,18 @@ def test_dataclasses_functions_accept_records(cls, values, defaults):
     assert repr(dataclasses.replace(record)) == repr(record)
     for name, default in defaults.items():
         assert getattr(dataclasses.replace(record, **{name: default}), name) == default
+    if cls is LintConfig:
+        # The exception: its severity map is a read-only mapping, which the
+        # deep copy that ``asdict`` makes of a value cannot copy.
+        with pytest.raises(TypeError, match="mappingproxy"):
+            dataclasses.asdict(record)
+        return
+    # Records inside, also in tuples, become dicts; other values stay.
+    as_dict = dataclasses.asdict(record)
+    assert list(as_dict) == list(values)
+    for name, value in values.items():
+        if not dataclasses.is_dataclass(value) and type(value) is not tuple:
+            assert as_dict[name] == value
 
 
 def test_dataclasses_replace_checks_the_result():
