@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import re
 from functools import cache
+from itertools import chain
 from operator import attrgetter
 from typing import Iterator, Union
 
-from .diagnostics import SourceSpan, _Record, _replace, _set
+from .diagnostics import SourceSpan, _Record, _replace
 
 
 def _name(gap: str) -> str:
@@ -46,15 +47,21 @@ def _parse_bool(value: str) -> bool:
     return value == "true"
 
 
-# Quoted text: what a '\\' escape stands for, both ways. An unknown escape
-# reads as written.
-_ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"', "\t": "\\t", "\n": "\\n", "\r": "\\r"})
+# Quoted text: what a '\\' escape stands for. An unknown escape reads as
+# written.
 _UNESCAPES = {"\\": "\\", '"': '"', "'": "'", "t": "\t", "n": "\n", "r": "\r"}
 _UNESCAPE_RE = re.compile(r"\\([\s\S]?)")
 
 
 def _escape(value: str) -> str:
-    return value.translate(_ESCAPES)
+    """``value`` with '\\', '"', tab, newline and carriage return escaped.
+    A chain of ``str.replace`` scans a clean text five times at C speed, where
+    ``str.translate``, whose table writes two characters for one, looks each
+    character up in a dict. The backslash goes first, so the escapes made
+    after it are not escaped again."""
+    return (
+        value.replace("\\", "\\\\").replace('"', '\\"').replace("\t", "\\t").replace("\n", "\\n").replace("\r", "\\r")
+    )
 
 
 def _unescape(text: str) -> str:
@@ -73,7 +80,7 @@ class FieldRef(_Record):
     parts = ()
 
     def __init__(self, name: str) -> None:
-        _set(self, "name", name)
+        self._setters[0](self, name)
 
 
 class Number(_Record):
@@ -83,7 +90,7 @@ class Number(_Record):
     parts = ()
 
     def __init__(self, value: Union[int, float]) -> None:
-        _set(self, "value", value)
+        self._setters[0](self, value)
 
 
 class Text(_Record):
@@ -93,7 +100,7 @@ class Text(_Record):
     parts = ()
 
     def __init__(self, value: str) -> None:
-        _set(self, "value", value)
+        self._setters[0](self, value)
 
 
 class BinaryOp(_Record):
@@ -103,9 +110,10 @@ class BinaryOp(_Record):
     parts = property(attrgetter("left", "right"))
 
     def __init__(self, op: str, left: Formula, right: Formula) -> None:
-        _set(self, "op", op)  # one of + - * /
-        _set(self, "left", left)
-        _set(self, "right", right)
+        set_op, set_left, set_right = self._setters
+        set_op(self, op)  # one of + - * /
+        set_left(self, left)
+        set_right(self, right)
 
 
 class Call(_Record):
@@ -114,8 +122,9 @@ class Call(_Record):
     __slots__ = ("name", "args")
 
     def __init__(self, name: str, args: tuple[Formula, ...] = ()) -> None:
-        _set(self, "name", name)
-        _set(self, "args", args)
+        set_name, set_args = self._setters
+        set_name(self, name)
+        set_args(self, args)
 
 
 Call.parts = Call.args
@@ -294,7 +303,7 @@ class BasicDomain(_Record):
     def __init__(self, kind: str) -> None:
         if kind not in BASIC_DOMAIN_KINDS:
             raise ValueError(f"unknown basic domain {kind!r}")
-        _set(self, "kind", kind)
+        self._setters[0](self, kind)
 
 
 # The checks of ReferenceDomain and EnumeratedDomain raise "<problem>: <domain
@@ -308,7 +317,7 @@ class ReferenceDomain(_Record):
     def __init__(self, target: str) -> None:
         if not IDENTIFIER_RE.fullmatch(target):
             raise ValueError(f"reference domain needs a type name: {'ref:' + target!r}")
-        _set(self, "target", target)
+        self._setters[0](self, target)
 
 
 class EnumeratedDomain(_Record):
@@ -321,7 +330,7 @@ class EnumeratedDomain(_Record):
             raise ValueError(f"bad enumerated domain: {'enum:' + '|'.join(literals)!r}")
         if len(set(literals)) != len(literals):
             raise ValueError(f"duplicate literals in enumerated domain: {'enum:' + '|'.join(literals)!r}")
-        _set(self, "literals", literals)
+        self._setters[0](self, literals)
 
 
 Domain = Union[BasicDomain, ReferenceDomain, EnumeratedDomain]
@@ -331,6 +340,8 @@ _BASIC_DOMAINS = {kind: BasicDomain(kind) for kind in BASIC_DOMAIN_KINDS}
 
 
 def domain_to_text(d: Domain) -> str:
+    if d.__class__ is BasicDomain:  # most domains, ahead of the match
+        return d.kind
     match d:
         case BasicDomain(kind):
             return kind
@@ -383,8 +394,9 @@ class Acquisition(_Record):
             raise ValueError("a derivation formula requires op=d")
         if op not in ("i", "g", "d"):
             raise ValueError(f"unknown acquisition operation {op!r}")
-        _set(self, "op", op)
-        _set(self, "formula", formula)
+        set_op, set_formula = self._setters
+        set_op(self, op)
+        set_formula(self, formula)
 
 
 # The types of a flag's value: ``bool`` cannot be subclassed, so these are exact.
@@ -425,15 +437,26 @@ class FieldProperties(_Record):
         if type(compulsory) not in _FLAG_TYPES or type(visible) not in _FLAG_TYPES:
             key, flag = ("visible", visible) if type(compulsory) in _FLAG_TYPES else ("compulsory", compulsory)
             raise ValueError(f"{key} must be True, False or None, found {flag!r}")
-        _set(self, "acquisition", acquisition)
-        _set(self, "domain", domain)
-        _set(self, "example", example)
-        _set(self, "description", description)
-        _set(self, "label", label)
-        _set(self, "memory_link", memory_link)
-        _set(self, "compulsory", compulsory)
-        _set(self, "initialisation", initialisation)
-        _set(self, "visible", visible)
+        (
+            set_acquisition,
+            set_domain,
+            set_example,
+            set_description,
+            set_label,
+            set_memory_link,
+            set_compulsory,
+            set_initialisation,
+            set_visible,
+        ) = self._setters
+        set_acquisition(self, acquisition)
+        set_domain(self, domain)
+        set_example(self, example)
+        set_description(self, description)
+        set_label(self, label)
+        set_memory_link(self, memory_link)
+        set_compulsory(self, compulsory)
+        set_initialisation(self, initialisation)
+        set_visible(self, visible)
 
     def to_mapping(self) -> dict[str, str]:
         """Present properties as annotation key/value text, in print order."""
@@ -514,9 +537,10 @@ class Field(_Node):
     ) -> None:
         if not IDENTIFIER_RE.fullmatch(name):
             raise ValueError(f"invalid field name {name!r}")
-        _set(self, "name", name)
-        _set(self, "properties", properties)
-        _set(self, "span", span)
+        set_name, set_properties, set_span = self._setters
+        set_name(self, name)
+        set_properties(self, properties)
+        set_span(self, span)
 
 
 class Aggregation(_Node):
@@ -525,10 +549,11 @@ class Aggregation(_Node):
     __slots__ = ("name", "children", "span")
 
     def __init__(self, name: str | None, children: tuple[Substructure, ...], span: SourceSpan | None = None) -> None:
-        _check_complex(name, children)
-        _set(self, "name", name)
-        _set(self, "children", children)
-        _set(self, "span", span)
+        _check_complex(name, children, children)
+        set_name, set_children, set_span = self._setters
+        set_name(self, name)
+        set_children(self, children)
+        set_span(self, span)
 
 
 class Iteration(_Node):
@@ -537,10 +562,11 @@ class Iteration(_Node):
     __slots__ = ("name", "children", "span")
 
     def __init__(self, name: str | None, children: tuple[Substructure, ...], span: SourceSpan | None = None) -> None:
-        _check_complex(name, children)
-        _set(self, "name", name)
-        _set(self, "children", children)
-        _set(self, "span", span)
+        _check_complex(name, children, children)
+        set_name, set_children, set_span = self._setters
+        set_name(self, name)
+        set_children(self, children)
+        set_span(self, span)
 
 
 class Specialisation(_Node):
@@ -552,13 +578,14 @@ class Specialisation(_Node):
     def __init__(
         self, name: str | None, variants: tuple[tuple[Substructure, ...], ...], span: SourceSpan | None = None
     ) -> None:
-        _check_complex(name, variants, "specialisation needs at least one variant")
-        for variant in variants:
-            if not variant:
-                raise ValueError("specialisation variant may not be empty")
-        _set(self, "name", name)
-        _set(self, "variants", variants)
-        _set(self, "span", span)
+        children = tuple(chain.from_iterable(variants))
+        _check_complex(name, variants, children, "specialisation needs at least one variant")
+        if not all(variants):
+            raise ValueError("specialisation variant may not be empty")
+        set_name, set_variants, set_span = self._setters
+        set_name(self, name)
+        set_variants(self, variants)
+        set_span(self, span)
 
 
 # The parts the traversals read; a variant is a tuple, its own parts.
@@ -567,11 +594,21 @@ Iteration.parts = Iteration.children
 Specialisation.parts = Specialisation.variants
 
 
-def _check_complex(name: str | None, parts: tuple, empty="complex substructure needs at least one child") -> None:
+# What a complex substructure holds, as its children or in its variants.
+_SUBSTRUCTURE_KINDS = frozenset((Field, Aggregation, Iteration, Specialisation))
+
+
+def _check_complex(
+    name: str | None, parts: tuple, children: tuple, empty="complex substructure needs at least one child"
+) -> None:
     if name is not None and not IDENTIFIER_RE.fullmatch(name):
         raise ValueError(f"invalid substructure name {name!r}")
     if not parts:
         raise ValueError(empty)
+    # By exact type, in one set test: a tuple or any other value is refused.
+    if not _SUBSTRUCTURE_KINDS.issuperset(map(type, children)):
+        stray = next(child for child in children if type(child) not in _SUBSTRUCTURE_KINDS)
+        raise ValueError(f"not a substructure: {stray!r}")
 
 
 Substructure = Union[Field, Aggregation, Iteration, Specialisation]
@@ -590,9 +627,10 @@ class MessageStructure(_Node):
         if not isinstance(root, (Aggregation, Iteration)):
             kind = type(root).__name__.lower()
             raise ValueError(f"a {kind} cannot be the initial substructure")
-        _set(self, "name", name)
-        _set(self, "root", root)
-        _set(self, "span", span)
+        set_name, set_root, set_span = self._setters
+        set_name(self, name)
+        set_root(self, root)
+        set_span(self, span)
 
     def _key(self) -> tuple:
         return self.name, self.root._key()
@@ -738,6 +776,9 @@ def _shape(ms: MessageStructure) -> tuple:
     while stack:
         node = stack.pop()
         kind = type(node)
+        if kind is Field:  # the most common node, and its parts are none
+            tokens.append(node.name)
+            continue
         if kind is tuple:
             only = _lone_aggregation(node)
             if only is not None:
@@ -746,9 +787,7 @@ def _shape(ms: MessageStructure) -> tuple:
             kind, parts = Aggregation, node
         else:
             parts = node.parts
-        if not parts:
-            tokens.append(node.name)
-        elif kind is Iteration:
+        if kind is Iteration:
             tokens.append((Iteration, 1))
             stack.append(parts)
         else:

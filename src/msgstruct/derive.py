@@ -52,7 +52,7 @@ from .core import (
     formula_to_text,
     parse_formula,
 )
-from .diagnostics import Diagnostic, Severity, SourceSpan, _json_text, _Record, _replace, _set
+from .diagnostics import Diagnostic, Severity, SourceSpan, _json_text, _Record, _replace
 from .parser import ParseError, _parse, _read_source
 
 if TYPE_CHECKING:
@@ -97,11 +97,12 @@ class CommunicativeEvent(_Record, compare=("id", "name", "order", "structure")):
     def __init__(self, id: str, name: str, order: int, structure: MessageStructure, file: str | None = None) -> None:
         if order < 0:
             raise ValueError("event order must be >= 0")
-        _set(self, "id", id)
-        _set(self, "name", name)
-        _set(self, "order", order)
-        _set(self, "structure", structure)
-        _set(self, "file", file)
+        set_id, set_name, set_order, set_structure, set_file = self._setters
+        set_id(self, id)
+        set_name(self, name)
+        set_order(self, order)
+        set_structure(self, structure)
+        set_file(self, file)
 
 
 class Attribute(_Record):
@@ -118,11 +119,12 @@ class Attribute(_Record):
         formula: Formula | None = None,
         optional: bool = False,
     ) -> None:
-        _set(self, "name", name)
-        _set(self, "domain", domain)
-        _set(self, "acquisition", acquisition)
-        _set(self, "formula", formula)
-        _set(self, "optional", optional)
+        set_name, set_domain, set_acquisition, set_formula, set_optional = self._setters
+        set_name(self, name)
+        set_domain(self, domain)
+        set_acquisition(self, acquisition)
+        set_formula(self, formula)
+        set_optional(self, optional)
 
 
 class ClassSpec(_Record):
@@ -138,10 +140,11 @@ class ClassSpec(_Record):
         attributes: tuple[Attribute, ...] = (),
         parent: str | None = None,
     ) -> None:
-        _set(self, "name", name)
-        _set(self, "kind", kind)
-        _set(self, "attributes", attributes)
-        _set(self, "parent", parent)
+        set_name, set_kind, set_attributes, set_parent = self._setters
+        set_name(self, name)
+        set_kind(self, kind)
+        set_attributes(self, attributes)
+        set_parent(self, parent)
 
 
 class Association(_Record):
@@ -157,10 +160,11 @@ class Association(_Record):
         kind: str,  # composition | reference | generalisation
         multiplicity: str | None = None,  # one | many (generalisations carry none)
     ) -> None:
-        _set(self, "source", source)
-        _set(self, "target", target)
-        _set(self, "kind", kind)
-        _set(self, "multiplicity", multiplicity)
+        set_source, set_target, set_kind, set_multiplicity = self._setters
+        set_source(self, source)
+        set_target(self, target)
+        set_kind(self, kind)
+        set_multiplicity(self, multiplicity)
 
 
 class ClassDiagram(_Record):
@@ -169,8 +173,9 @@ class ClassDiagram(_Record):
     __slots__ = ("classes", "associations")
 
     def __init__(self, classes: tuple[ClassSpec, ...] = (), associations: tuple[Association, ...] = ()) -> None:
-        _set(self, "classes", classes)
-        _set(self, "associations", associations)
+        set_classes, set_associations = self._setters
+        set_classes(self, classes)
+        set_associations(self, associations)
 
 
 def class_name(raw: str) -> str:

@@ -8,10 +8,6 @@ from enum import Enum
 from itertools import chain
 from operator import attrgetter
 
-# Sets a field of a record in its ``__init__``, past the frozen ``__setattr__``.
-_set = object.__setattr__
-
-
 def _replace(record, /, **changes):
     """A copy of ``record`` with some fields changed, as ``dataclasses.replace``
     makes it: through the class's own constructor, which checks the result."""
@@ -51,7 +47,8 @@ class _DataclassFields:
 class _Record:
     """Base of the frozen records. A record class lists its fields in
     ``__slots__``, in constructor order, and sets them in its own
-    ``__init__`` through ``_set``. The base gives what ``@dataclass(frozen=True)``
+    ``__init__`` through ``_setters``, the ``__set__`` of each slot, past the
+    frozen ``__setattr__``. The base gives what ``@dataclass(frozen=True)``
     gave: immutability, ``==`` and ``hash`` over the fields (or over the
     ``compare`` names of the class statement), positional patterns, the
     ``repr`` text, copying and pickling, and the view of the ``dataclasses``
@@ -64,6 +61,9 @@ class _Record:
         if not cls.__slots__:
             return
         cls.__match_args__ = cls.__slots__
+        # Each slot's own ``__set__`` stores a field without the generic
+        # attribute lookup; the table is a class attribute, not a field.
+        cls._setters = tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
         cls._eq_fields = compare or cls.__slots__
         # With the class in front it is a tuple also for one field, and a
         # tuple compares its items by identity first, as dataclasses did.
@@ -87,8 +87,8 @@ class _Record:
         return [getattr(self, name) for name in self.__match_args__]
 
     def __setstate__(self, state: list) -> None:
-        for name, value in zip(self.__match_args__, state):
-            _set(self, name, value)
+        for setter, value in zip(self._setters, state):
+            setter(self, value)
 
     __replace__ = _replace
     __dataclass_fields__ = _DataclassFields()
@@ -130,10 +130,11 @@ class SourceSpan(_Record):
     def __init__(self, start_line: int, start_col: int, end_line: int, end_col: int) -> None:
         if (end_line, end_col) < (start_line, start_col):
             raise ValueError(f"span end precedes start: {start_line}:{start_col}-{end_line}:{end_col}")
-        _set(self, "start_line", start_line)
-        _set(self, "start_col", start_col)
-        _set(self, "end_line", end_line)
-        _set(self, "end_col", end_col)
+        set_start_line, set_start_col, set_end_line, set_end_col = self._setters
+        set_start_line(self, start_line)
+        set_start_col(self, start_col)
+        set_end_line(self, end_line)
+        set_end_col(self, end_col)
 
     def __str__(self) -> str:
         return f"{self.start_line}:{self.start_col}"
@@ -151,10 +152,11 @@ class Diagnostic(_Record):
     __slots__ = ("severity", "code", "message", "span")
 
     def __init__(self, severity: Severity, code: str, message: str, span: SourceSpan | None = None) -> None:
-        _set(self, "severity", severity)
-        _set(self, "code", code)
-        _set(self, "message", message)
-        _set(self, "span", span)
+        set_severity, set_code, set_message, set_span = self._setters
+        set_severity(self, severity)
+        set_code(self, code)
+        set_message(self, message)
+        set_span(self, span)
 
     def render(self, filename: str | None = None) -> str:
         where = filename or "<input>"

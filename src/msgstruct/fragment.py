@@ -22,7 +22,7 @@ from .core import (
     _canonical_name,
     _traverse,
 )
-from .diagnostics import _Record, _set
+from .diagnostics import _Record
 
 __all__ = [
     "Fragment",
@@ -60,11 +60,12 @@ class Fragment(_Record):
             raise ValueError("fragment depth must be >= 0")
         if (depth == 0) != (parent_key is None):
             raise ValueError("exactly the depth-0 fragment has no parent key")
-        _set(self, "id", id)
-        _set(self, "depth", depth)
-        _set(self, "fields", fields)
-        _set(self, "parent_key", parent_key)
-        _set(self, "discriminators", discriminators)
+        set_id, set_depth, set_fields, set_parent_key, set_discriminators = self._setters
+        set_id(self, id)
+        set_depth(self, depth)
+        set_fields(self, fields)
+        set_parent_key(self, parent_key)
+        set_discriminators(self, discriminators)
 
 
 class AbstractInterfaceStructure(_Record):
@@ -77,8 +78,9 @@ class AbstractInterfaceStructure(_Record):
         expected = REGISTRY if fragment.depth == 0 else SET_OF_REGISTRIES
         if kind != expected:
             raise ValueError(f"depth {fragment.depth} fragment must be {expected}")
-        _set(self, "fragment", fragment)
-        _set(self, "kind", kind)
+        set_fragment, set_kind = self._setters
+        set_fragment(self, fragment)
+        set_kind(self, kind)
 
 
 class _FragmentBuilder:

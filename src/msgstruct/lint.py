@@ -36,7 +36,7 @@ from .core import (
     iter_fields,
     walk,
 )
-from .diagnostics import Diagnostic, Severity, _Record, _set
+from .diagnostics import Diagnostic, Severity, _Record
 
 if TYPE_CHECKING:
     from pathlib import Path
@@ -137,9 +137,10 @@ class LintConfig(_Record):
                 "severity overrides must not invert the applicability order "
                 "('--' must report at least as severely as '-', and so on)"
             )
-        _set(self, "severity_map", severity_map)
-        _set(self, "g1_wordlist", g1_wordlist)
-        _set(self, "report_missing", report_missing)
+        set_severity_map, set_g1_wordlist, set_report_missing = self._setters
+        set_severity_map(self, severity_map)
+        set_g1_wordlist(self, g1_wordlist)
+        set_report_missing(self, report_missing)
 
     def __hash__(self) -> int:
         # A mapping proxy has no hash; the map's items do.

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -466,11 +467,15 @@ def test_differential_formula_text_and_refs(formula):
     assert formula_refs(formula) == _reference_formula_refs(formula)
 
 
-_STRAY = "x"  # not a node: the constructors take it, every traversal refuses it
+_STRAY = "x"  # not a node: the constructors refuse it, and so does every traversal
 
 
 def _with_stray():
-    return MessageStructure("M", Aggregation(None, (Field("a"), Iteration(None, (Field("b"), _STRAY)))))
+    # Unpickling sets a record's fields without calling its constructor, so a
+    # stray child can still come in that way; the traversals refuse it too.
+    iteration = Iteration.__new__(Iteration)
+    iteration.__setstate__([None, (Field("b"), _STRAY), None])
+    return MessageStructure("M", Aggregation(None, (Field("a"), iteration)))
 
 
 @pytest.mark.parametrize(
@@ -490,3 +495,19 @@ def _with_stray():
 def test_a_child_that_is_not_a_node_is_refused_by_every_traversal(use):
     with pytest.raises(AttributeError, match="'str' object has no attribute"):
         use(_with_stray())
+
+
+@pytest.mark.parametrize("stray", [_STRAY, (Field("b"),)], ids=["str", "tuple"])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda child: Aggregation(None, (Field("a"), child)),
+        lambda child: Iteration(None, (child, Field("a"))),
+        lambda child: Specialisation(None, ((Field("a"),), (Field("p"), child))),
+    ],
+    ids=["aggregation", "iteration", "specialisation"],
+)
+def test_a_child_that_is_not_a_node_is_refused_by_the_constructors(build, stray):
+    # A tuple child would otherwise be read as a specialisation's variant.
+    with pytest.raises(ValueError, match=re.escape(f"not a substructure: {stray!r}")):
+        build(stray)

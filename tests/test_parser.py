@@ -260,6 +260,16 @@ def test_unescape_inverts_escape(value):
     assert core._unescape(core._escape(value)) == value
 
 
+# What ``_escape`` writes for each character it escapes; others stay as written.
+_ESCAPED = {"\\": "\\\\", '"': '\\"', "\t": "\\t", "\n": "\\n", "\r": "\\r"}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.text(alphabet=st.sampled_from('\\"\t\n\r\'aZq') | st.characters(min_codepoint=0x80)))
+def test_escape_writes_each_special_character_as_its_escape(value):
+    assert core._escape(value) == "".join(_ESCAPED.get(ch, ch) for ch in value)
+
+
 # ---------------------------------------------------------------------------
 # Formulas
 # ---------------------------------------------------------------------------

@@ -182,6 +182,16 @@ def test_records_compare_and_hash_by_their_compared_fields(cls, values, defaults
             assert other != record
 
 
+@pytest.mark.parametrize("cls, values, defaults", _RECORDS, ids=_IDS)
+def test_records_set_their_fields_through_their_own_slot_setters(cls, values, defaults):
+    # One setter per field, in constructor order: the ``__set__`` of the
+    # class's own slot descriptor, bound to it.
+    assert [setter.__self__.__name__ for setter in cls._setters] == list(cls.__slots__) == list(values)
+    for setter, name in zip(cls._setters, cls.__slots__):
+        assert setter.__self__ is cls.__dict__[name] and setter.__name__ == "__set__"
+    assert not {"_set", "__setattr__"} & set(cls.__init__.__code__.co_names)
+
+
 def test_equal_lint_configs_hash_equal():
     strict = LintConfig.from_json({"severity": {"-": "error"}, "g1_wordlist": ["Total"]})
     twin = LintConfig({**strict.severity_map}, ("total",))
