@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import re
 from functools import cache
-from itertools import chain
 from operator import attrgetter
 from typing import Iterator, Union
 
@@ -343,8 +342,6 @@ def domain_to_text(d: Domain) -> str:
     if d.__class__ is BasicDomain:  # most domains, ahead of the match
         return d.kind
     match d:
-        case BasicDomain(kind):
-            return kind
         case ReferenceDomain(target):
             return f"ref:{target}"
         case EnumeratedDomain(literals):
@@ -549,7 +546,7 @@ class Aggregation(_Node):
     __slots__ = ("name", "children", "span")
 
     def __init__(self, name: str | None, children: tuple[Substructure, ...], span: SourceSpan | None = None) -> None:
-        _check_complex(name, children, children)
+        _check_complex(name, children)
         set_name, set_children, set_span = self._setters
         set_name(self, name)
         set_children(self, children)
@@ -562,7 +559,7 @@ class Iteration(_Node):
     __slots__ = ("name", "children", "span")
 
     def __init__(self, name: str | None, children: tuple[Substructure, ...], span: SourceSpan | None = None) -> None:
-        _check_complex(name, children, children)
+        _check_complex(name, children)
         set_name, set_children, set_span = self._setters
         set_name(self, name)
         set_children(self, children)
@@ -578,10 +575,12 @@ class Specialisation(_Node):
     def __init__(
         self, name: str | None, variants: tuple[tuple[Substructure, ...], ...], span: SourceSpan | None = None
     ) -> None:
-        children = tuple(chain.from_iterable(variants))
-        _check_complex(name, variants, children, "specialisation needs at least one variant")
-        if not all(variants):
-            raise ValueError("specialisation variant may not be empty")
+        if not variants:
+            raise ValueError("specialisation needs at least one variant")
+        for variant in variants:
+            if type(variant) is not tuple:
+                raise ValueError(f"not a substructure: {variant!r}")
+            _check_complex(name, variant, "specialisation variant may not be empty")
         set_name, set_variants, set_span = self._setters
         set_name(self, name)
         set_variants(self, variants)
@@ -598,17 +597,16 @@ Specialisation.parts = Specialisation.variants
 _SUBSTRUCTURE_KINDS = frozenset((Field, Aggregation, Iteration, Specialisation))
 
 
-def _check_complex(
-    name: str | None, parts: tuple, children: tuple, empty="complex substructure needs at least one child"
-) -> None:
+def _check_complex(name: str | None, children: tuple, empty="complex substructure needs at least one child") -> None:
     if name is not None and not IDENTIFIER_RE.fullmatch(name):
         raise ValueError(f"invalid substructure name {name!r}")
-    if not parts:
+    if not children:
         raise ValueError(empty)
-    # By exact type, in one set test: a tuple or any other value is refused.
-    if not _SUBSTRUCTURE_KINDS.issuperset(map(type, children)):
-        stray = next(child for child in children if type(child) not in _SUBSTRUCTURE_KINDS)
-        raise ValueError(f"not a substructure: {stray!r}")
+    # By exact type, one child at a time (cheaper than a set test over a
+    # `map` at the sizes trees have): a tuple, or any other value, is refused.
+    for child in children:
+        if type(child) not in _SUBSTRUCTURE_KINDS:
+            raise ValueError(f"not a substructure: {child!r}")
 
 
 Substructure = Union[Field, Aggregation, Iteration, Specialisation]

@@ -511,3 +511,9 @@ def test_a_child_that_is_not_a_node_is_refused_by_the_constructors(build, stray)
     # A tuple child would otherwise be read as a specialisation's variant.
     with pytest.raises(ValueError, match=re.escape(f"not a substructure: {stray!r}")):
         build(stray)
+
+
+@pytest.mark.parametrize("variant", [[Field("a")], Field("a")], ids=["list", "node"])
+def test_a_variant_that_is_not_a_tuple_is_refused_by_the_constructor(variant):
+    with pytest.raises(ValueError, match=re.escape(f"not a substructure: {variant!r}")):
+        Specialisation(None, ((Field("p"),), variant))
