@@ -243,22 +243,16 @@ def _cmd_equiv(args: SimpleNamespace) -> int:
 
 
 def _cmd_derive(args: SimpleNamespace) -> int:
-    from .derive import (
-        DerivationError,
-        _ManifestParseError,
-        derive_view,
-        export_diagram,
-        integrate,
-        load_events_manifest,
-    )
+    from .derive import DerivationError, derive_view, export_diagram, integrate, load_events_manifest
     from .diagnostics import Severity
     from .lint import Phase, guideline_checks, lint
+    from .parser import ParseError
 
     config = _load_config(args.config)
     try:
         events = load_events_manifest(args.events)
-    except _ManifestParseError as exc:
-        _emit_diagnostics(exc.cause.diagnostics, exc.filename)
+    except ParseError as exc:
+        _emit_diagnostics(exc.diagnostics, exc.file)
         return 1
     except (OSError, ValueError) as exc:
         raise _UsageError(f"bad events manifest {args.events}: {exc}") from None
@@ -279,19 +273,10 @@ def _cmd_derive(args: SimpleNamespace) -> int:
         )
         return 1
 
-    views = []
-    for event in events:
-        try:
-            views.append(derive_view(event))
-        except DerivationError as exc:
-            # D001 and D002 point into the event's .ms file; D004 has no span.
-            where = event.file if exc.diagnostic.span is not None else args.events
-            _emit_diagnostics([exc.diagnostic], where)
-            return 1
     try:
-        diagram = integrate(views)
-    except DerivationError as exc:  # D003 and D004 have no span
-        _emit_diagnostics([exc.diagnostic], args.events)
+        diagram = integrate([derive_view(event) for event in events])
+    except DerivationError as exc:
+        _emit_diagnostics([exc.diagnostic], exc.file or args.events)
         return 1
     _print(export_diagram(diagram, args.format), end="")
     return 0

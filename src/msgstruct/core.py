@@ -265,7 +265,13 @@ class _FormulaParser:
         if m["number"]:
             self._next()
             raw = m["number"]
-            return Number(float(raw) if "." in raw else int(raw)), 0
+            try:
+                value = float(raw) if "." in raw else int(raw)
+            except ValueError:  # more digits than ``int`` converts
+                value = None
+            if value is None or value == float("inf"):  # a decimal past float's range reads as inf
+                raise ValueError("number too large")
+            return Number(value), 0
         if m["call"]:
             name = m["call"]
             self._next()

@@ -35,7 +35,7 @@ Errors:
 from __future__ import annotations
 
 import os
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NoReturn
 
 from .core import (
     Domain,
@@ -76,12 +76,14 @@ __all__ = [
 
 
 class DerivationError(Exception):
-    """Raised when a structure cannot be mapped to a view; carries the
-    diagnostic explaining why."""
+    """Raised when a structure cannot be mapped to a view or views cannot be
+    merged; carries the diagnostic explaining why and the ``file`` it points
+    into: the event's structure file in ``derive_view``, None in ``integrate``."""
 
-    def __init__(self, diagnostic: Diagnostic):
+    def __init__(self, diagnostic: Diagnostic, file: str | None = None):
         super().__init__(diagnostic.message)
         self.diagnostic = diagnostic
+        self.file = file
 
 
 class CommunicativeEvent(_Record, compare=("id", "name", "order", "structure")):
@@ -202,10 +204,12 @@ class _ViewBuilder:
 
     ``derive_view`` and ``integrate`` both fill one, so the class-merge rules
     live in ``add_class`` alone. Classes, attributes and associations keep
-    first-seen order.
+    first-seen order. ``file`` is the structure file of the one event whose
+    view is built, and the file its errors point into.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, file: str | None = None) -> None:
+        self.file = file
         self.kinds: dict[str, str] = {}
         self.parents: dict[str, str] = {}
         self.attrs: dict[str, dict[str, Attribute]] = {}
@@ -222,30 +226,20 @@ class _ViewBuilder:
             return name
         prior = self.parents.get(name)
         if prior is not None and parent is not None and prior != parent:
-            raise DerivationError(
-                Diagnostic(
-                    Severity.ERROR,
-                    "D004",
-                    f"class {name!r} cannot specialise both {prior!r} and {parent!r}",
-                )
-            )
+            self.fail("D004", f"class {name!r} cannot specialise both {prior!r} and {parent!r}")
         self.kinds[name] = kind
         if parent is not None:
             self.parents[name] = parent
         return name
 
+    def fail(self, code: str, message: str, span: SourceSpan | None = None) -> NoReturn:
+        raise DerivationError(Diagnostic(Severity.ERROR, code, message, span), self.file)
+
     def add_attribute(self, cls: str, attr: Attribute, span: SourceSpan | None) -> None:
         """Derivation: a second attribute of one name in a class is an error."""
         attrs = self.attrs[cls]
         if attr.name in attrs:
-            raise DerivationError(
-                Diagnostic(
-                    Severity.ERROR,
-                    "D002",
-                    f"duplicate attribute {attr.name!r} in class {cls!r}",
-                    span,
-                )
-            )
+            self.fail("D002", f"duplicate attribute {attr.name!r} in class {cls!r}", span)
         attrs[attr.name] = attr
 
     def merge_attribute(self, cls: str, attr: Attribute) -> None:
@@ -266,15 +260,8 @@ class _ViewBuilder:
                 formula=seen.formula if seen.formula is not None else attr.formula,
             )
         elif seen.domain != attr.domain:
-            raise DerivationError(
-                Diagnostic(
-                    Severity.ERROR,
-                    "D003",
-                    f"attribute {attr.name!r} of class {cls!r} has "
-                    f"conflicting domains ({domain_to_text(seen.domain)} vs "
-                    f"{domain_to_text(attr.domain)})",
-                )
-            )
+            old, new = domain_to_text(seen.domain), domain_to_text(attr.domain)
+            self.fail("D003", f"attribute {attr.name!r} of class {cls!r} has conflicting domains ({old} vs {new})")
 
     def associate(self, assoc: Association) -> None:
         """Union by (source, target, kind); multiplicities that disagree
@@ -296,7 +283,7 @@ class _ViewBuilder:
 
 def derive_view(event: CommunicativeEvent) -> ClassDiagram:
     """Map one event's message structure to a class-diagram view."""
-    builder = _ViewBuilder()
+    builder = _ViewBuilder(event.file)
     # The class the next fields go to, whether they are optional, and the
     # specialisation whose variants are entered next, if they become
     # subclasses; ``saved`` holds them for each open item.
@@ -333,15 +320,8 @@ def derive_view(event: CommunicativeEvent) -> ClassDiagram:
             name = _canonical_name(item)
             if name is None:
                 node = _lone_aggregation(item)
-                raise DerivationError(
-                    Diagnostic(
-                        Severity.ERROR,
-                        "D001",
-                        f"variant of a specialisation under class {cls!r} has no name "
-                        "to derive a subclass from",
-                        (node and node.span) or spec.span,
-                    )
-                )
+                message = f"variant of a specialisation under class {cls!r} has no name to derive a subclass from"
+                builder.fail("D001", message, (node and node.span) or spec.span)
             sub = builder.add_class(class_name(name), "subclass", parent=cls)
             builder.associate(Association(cls, sub, "generalisation", None))
             cls, spec = sub, None
@@ -503,7 +483,9 @@ def load_events_manifest(path: str | Path) -> list[CommunicativeEvent]:
     referenced ``.ms`` file (paths resolve relative to the manifest), and
     return the events sorted by (order, id). The parses share one string per
     name (``parser._parse``): the events of one process describe the same
-    business objects, so their structures repeat the same names."""
+    business objects, so their structures repeat the same names. A file
+    that fails to parse raises its ``ParseError`` with ``file`` set to the
+    resolved path."""
     import json
 
     manifest_path = _path_text(os.fspath(path))
@@ -530,7 +512,7 @@ def load_events_manifest(path: str | Path) -> list[CommunicativeEvent]:
         except OSError as exc:
             raise ValueError(f"cannot read {ms_path}: {exc}") from None
         except ParseError as exc:
-            raise _ManifestParseError(ms_path, exc) from None
+            raise ParseError(exc.diagnostics, ms_path) from None
         events.append(CommunicativeEvent(event_id, name, order, structure, ms_path))
     events.sort(key=lambda e: (e.order, e.id))
     return events
@@ -546,12 +528,3 @@ def _path_text(path: str) -> str:
     else:
         root = "/" if path[:1] == "/" else ""
     return root + "/".join(part for part in path.split("/") if part not in ("", ".")) or "."
-
-
-class _ManifestParseError(Exception):
-    """A referenced structure file failed to parse."""
-
-    def __init__(self, filename: str, cause: ParseError):
-        super().__init__(f"{filename}: {cause}")
-        self.filename = filename
-        self.cause = cause

@@ -304,13 +304,14 @@ def guideline_checks(
     fields: list[Field] = []
     carriers: list[Diagnostic] = []
     for node in walk(ms):
-        if isinstance(node, Field):
+        parts = node.parts
+        if not parts:
             fields.append(node)
-        elif isinstance(node, Specialisation):
-            for variant in node.variants:
+        elif type(parts[0]) is tuple:  # a specialisation's variants
+            for variant in parts:
                 carriers.extend(_check_domain_carrier(variant))
         else:
-            carriers.extend(_check_domain_carrier(node.children))
+            carriers.extend(_check_domain_carrier(parts))
     known = {f.name for f in fields}
     wordlist = set(config.g1_wordlist)
 
@@ -355,14 +356,10 @@ def _check_domain_carrier(siblings: tuple[Substructure, ...]) -> list[Diagnostic
     repeat the enum literals specifies the same domain twice (the Table-style
     ``[theo prac]`` next to ``[THEORY = ... | PRACTICE = ...]`` pattern)."""
     out: list[Diagnostic] = []
-    specs = [s for s in siblings if isinstance(s, Specialisation)]
+    specs = [s for s in siblings if type(s) is Specialisation]
     if not specs:
         return out
-    enums = [
-        f
-        for f in siblings
-        if isinstance(f, Field) and isinstance(f.properties.domain, EnumeratedDomain)
-    ]
+    enums = [f for f in siblings if not f.parts and type(f.properties.domain) is EnumeratedDomain]
     for spec in specs:
         variant_names = [_canonical_name(v) for v in spec.variants]
         if None in variant_names or len(variant_names) < 2:

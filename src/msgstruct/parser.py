@@ -27,7 +27,8 @@ Errors are raised as :class:`ParseError` carrying diagnostics:
     P002  ``name =`` not followed by ``<``, ``{``, or ``[``
     P003  empty substructure list
     P004  specialisation at initial-substructure position
-    P005  malformed property annotation, or a formula nested past 64 levels
+    P005  malformed property annotation, a formula nested past 64 levels,
+          or a number in a formula too large to print back
     P006  unknown acquisition-operation letter
     P007  unexpected character or token
     P008  nesting too deep: more than ``MAX_NESTING`` (300) levels of brackets
@@ -77,11 +78,14 @@ MAX_NESTING = 300
 
 
 class ParseError(Exception):
-    """Raised when the input cannot be parsed; carries the diagnostics."""
+    """Raised when the input cannot be parsed; carries the diagnostics and,
+    where the input was read from a file by name, that ``file``."""
 
-    def __init__(self, diagnostics: list[Diagnostic]):
-        super().__init__("; ".join(d.message for d in diagnostics))
+    def __init__(self, diagnostics: list[Diagnostic], file: str | None = None):
+        message = "; ".join(d.message for d in diagnostics)
+        super().__init__(message if file is None else f"{file}: {message}")
         self.diagnostics = diagnostics
+        self.file = file
 
 
 def _error(code: str, message: str, span: SourceSpan) -> ParseError:

@@ -496,6 +496,27 @@ def test_derive_prints_a_d003_of_integration_under_the_manifest(tmp_path, monkey
     assert err == "ev.json: error: D003: attribute 'x' of class 'A' has conflicting domains (number vs text)\n"
 
 
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        (
+            "A = < [X = <a> | Y = <b>] + {B = < [X = <c> | Z = <d>] >} >\n",
+            "a.ms: error: D004: class 'X' cannot specialise both 'A' and 'B'\n",
+        ),
+        ("A = < x\n", "a.ms:1:5: error: P001: unbalanced bracket: '<' is never closed\n"),
+    ],
+    ids=["d004", "p001"],
+)
+def test_derive_prints_an_error_within_one_event_under_its_structure_file(tmp_path, monkeypatch, capsys, text, line):
+    from msgstruct import cli
+
+    (tmp_path / "a.ms").write_text(text, encoding="utf-8")
+    (tmp_path / "ev.json").write_text('[{"id": "E1", "name": "a", "order": 1, "file": "a.ms"}]\n', encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["derive", "--events", "ev.json"]) == 1
+    assert capsys.readouterr() == ("", line)
+
+
 def test_derive_parse_failure_in_event_file_exits_1(run_cli, corpus_dir):
     (corpus_dir / "badparse.json").write_text(
         '[{"id": "E", "name": "x", "order": 0, "file": "vehicle_a.ms"}]\n',

@@ -28,7 +28,7 @@ from msgstruct.derive import (
     load_events_manifest,
 )
 from msgstruct.fragment import fragment_1nf
-from msgstruct.parser import parse
+from msgstruct.parser import ParseError, parse
 from properties import (
     prop_class_count_law,
     prop_integration_permutation_insensitive,
@@ -183,6 +183,36 @@ def test_two_parents_in_one_event_raise_d004():
     with pytest.raises(DerivationError) as exc:
         derive_view(_event(parse("A=<[P=<x>|Q=<y>] + B={[P=<z>|R=<w>]}>")))
     assert exc.value.diagnostic.code == "D004"
+
+
+@pytest.mark.parametrize(
+    "text, code",
+    [("A=<[a|b]>", "D001"), ("A=<x+x>", "D002"), ("A=<[P=<x>|Q=<y>] + B={[P=<z>|R=<w>]}>", "D004")],
+)
+def test_an_error_of_one_view_names_the_event_file(text, code):
+    event = CommunicativeEvent("EV1", "event", 1, parse(text), "events/ev1.ms")
+    with pytest.raises(DerivationError) as exc:
+        derive_view(event)
+    assert exc.value.diagnostic.code == code
+    assert exc.value.file == event.file
+
+
+@pytest.mark.parametrize(
+    "first, second, code",
+    [
+        ("A=<x (op=i; domain=number)>", "A=<x (op=i; domain=text)>", "D003"),
+        ("A=<[P=<x>|Q=<y>]>", "B=<[P=<z>|R=<w>]>", "D004"),
+    ],
+)
+def test_an_error_of_integration_names_no_file(first, second, code):
+    views = [
+        derive_view(CommunicativeEvent(f"EV{i}", "event", i, parse(text), f"ev{i}.ms"))
+        for i, text in enumerate((first, second))
+    ]
+    with pytest.raises(DerivationError) as exc:
+        integrate(views)
+    assert exc.value.diagnostic.code == code
+    assert exc.value.file is None
 
 
 def test_derived_field_keeps_its_formula():
@@ -427,6 +457,21 @@ def test_manifest_paths_are_spelled_as_pathlib_spells_them(tmp_path, monkeypatch
     else:  # the manifest's folder
         with pytest.raises(ValueError, match=f"^cannot read {re.escape(expected)}: "):
             load_events_manifest(manifest)
+
+
+def test_a_structure_that_fails_to_parse_raises_its_parse_error_with_the_file(tmp_path):
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "sub" / "bad.ms").write_text("A = < x\n", encoding="utf-8")
+    _write_manifest(tmp_path / "events.json", ["./sub//bad.ms"])
+    with pytest.raises(ParseError) as exc:
+        load_events_manifest(tmp_path / "events.json")
+    with pytest.raises(ParseError) as direct:
+        parse("A = < x\n")
+    path = str(tmp_path / "sub" / "bad.ms")
+    assert exc.value.file == path
+    assert exc.value.diagnostics == direct.value.diagnostics
+    assert str(exc.value) == f"{path}: {direct.value}"
+    assert direct.value.file is None
 
 
 def test_derivation_runs_on_the_canonical_form():

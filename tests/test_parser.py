@@ -323,6 +323,34 @@ def test_the_formula_reader_is_the_one_in_core():
     assert parse_formula is core.parse_formula
 
 
+@pytest.mark.parametrize(
+    "number",
+    ["9" * 400 + ".5", "9" * 5000],
+    ids=["decimal-past-float", "integer-past-int-digits"],
+)
+def test_a_formula_number_too_large_to_print_back_is_p005(number):
+    text = f'A=<x (op=d; formula="{number}")>'
+    quote = text.index('"')
+    code, message, span = _diagnostic(text)
+    assert code == "P005"
+    assert message == "bad formula: number too large"
+    assert span == f"1:{quote + 1}-1:{quote + len(number) + 2}"
+
+
+@pytest.mark.parametrize("style", ["compact", "tabular"])
+@pytest.mark.parametrize(
+    "number, value",
+    [("9" * 4300, int("9" * 4300)), ("1" + "0" * 308 + ".0", 1e308)],
+    ids=["integer-4300-digits", "decimal-1e308"],
+)
+def test_the_largest_formula_numbers_parse_and_round_trip(style, number, value):
+    ms = parse(f'A=<x (op=d; formula="{number}")>')
+    assert ms.root.children[0].properties.acquisition.formula == Number(value)
+    text = to_text(ms, style)
+    assert number in text
+    assert parse(text) == ms
+
+
 # A formula nests at most 64 levels: each operator, call and parenthesised
 # group is one level over its deepest operand (README, "Notation").
 _FORMULA_DEPTH = 64
