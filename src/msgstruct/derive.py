@@ -479,7 +479,8 @@ def _uml_attribute(a: Attribute) -> str:
 
 
 def load_events_manifest(path: str | Path) -> list[CommunicativeEvent]:
-    """Read a JSON array of ``{id, name, order, file}`` entries, parse each
+    """Read a JSON array of ``{id, name, order, file}`` entries (UTF-8, with
+    or without a byte-order mark, as ``.ms`` files are read), parse each
     referenced ``.ms`` file (paths resolve relative to the manifest), and
     return the events sorted by (order, id). The parses share one string per
     name (``parser._parse``): the events of one process describe the same
@@ -490,8 +491,7 @@ def load_events_manifest(path: str | Path) -> list[CommunicativeEvent]:
 
     manifest_path = _path_text(os.fspath(path))
     try:
-        with open(manifest_path, encoding="utf-8") as f:
-            raw = json.loads(f.read())
+        raw = json.loads(_read_source(manifest_path))
     except RecursionError:  # nested deeper than the decoder follows
         raise ValueError("events manifest is nested too deep") from None
     if not isinstance(raw, list):

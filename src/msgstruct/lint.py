@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from enum import Enum
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .core import (
     EnumeratedDomain,
@@ -117,14 +117,15 @@ _DEFAULT_SEVERITY_MAP = {
 
 class LintConfig(_Record):
     """Tunable lint behaviour, frozen down to its severity map (``None``
-    gives the default map); see ``from_json`` for the file format."""
+    gives the default map); see ``from_json`` for the file format. G1
+    matches words regardless of case, so its words are kept lowercased."""
 
     __slots__ = ("severity_map", "g1_wordlist", "report_missing")
 
     def __init__(
         self,
         severity_map: Mapping[Level, Severity | None] | None = None,
-        g1_wordlist: tuple[str, ...] = DEFAULT_WORDLIST,
+        g1_wordlist: Sequence[str] = DEFAULT_WORDLIST,
         report_missing: bool = False,
     ) -> None:
         severity_map = MappingProxyType(dict(_DEFAULT_SEVERITY_MAP if severity_map is None else severity_map))
@@ -137,9 +138,11 @@ class LintConfig(_Record):
                 "severity overrides must not invert the applicability order "
                 "('--' must report at least as severely as '-', and so on)"
             )
+        if not isinstance(g1_wordlist, (list, tuple)) or not all(isinstance(w, str) for w in g1_wordlist):
+            raise ValueError("'g1_wordlist' must be a list of strings")
         set_severity_map, set_g1_wordlist, set_report_missing = self._setters
         set_severity_map(self, severity_map)
-        set_g1_wordlist(self, g1_wordlist)
+        set_g1_wordlist(self, tuple(w.lower() for w in g1_wordlist))
         set_report_missing(self, report_missing)
 
     def __hash__(self) -> int:
@@ -174,26 +177,25 @@ class LintConfig(_Record):
             if not isinstance(value, str) or value not in _SEVERITY_NAMES:
                 raise ValueError(f"unknown severity {value!r} for level {symbol!r}")
             severity_map[level] = _SEVERITY_NAMES[value]
-        words = obj.get("g1_wordlist", DEFAULT_WORDLIST)
-        if not isinstance(words, (list, tuple)) or not all(isinstance(w, str) for w in words):
-            raise ValueError("'g1_wordlist' must be a list of strings")
-        wordlist = tuple(w.lower() for w in words)
         report_missing = obj.get("report_missing", False)
         if not isinstance(report_missing, bool):
             raise ValueError("'report_missing' must be true or false")
         return cls(
             severity_map=severity_map,
-            g1_wordlist=wordlist,
+            g1_wordlist=obj.get("g1_wordlist", DEFAULT_WORDLIST),
             report_missing=report_missing,
         )
 
     @classmethod
     def from_file(cls, path: str | Path) -> "LintConfig":
+        """Read a config file, UTF-8 with or without a byte-order mark, as
+        ``parse`` reads a ``.ms`` file."""
         import json
-        from pathlib import Path
+
+        from .parser import _read_source
 
         try:
-            obj = json.loads(Path(path).read_text(encoding="utf-8"))
+            obj = json.loads(_read_source(path))
         except RecursionError:  # nested deeper than the decoder follows
             raise ValueError("lint configuration is nested too deep") from None
         return cls.from_json(obj)

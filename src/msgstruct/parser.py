@@ -204,9 +204,10 @@ def _kept(keep, raw: str) -> str:
 
 
 def _read_source(path: str | Path) -> str:
-    """The text of a ``.ms`` file: its bytes after a leading UTF-8 byte-order
-    mark, decoded as UTF-8. ``parse`` reads every newline convention, so
-    the text is not translated, and the ``utf-8-sig`` codec is not loaded.
+    """The text of an input file (a ``.ms`` file, an events manifest or a
+    lint config): its bytes after a leading UTF-8 byte-order mark, decoded
+    as UTF-8. ``parse`` and ``json`` read every newline convention, so the
+    text is not translated, and the ``utf-8-sig`` codec is not loaded.
     A ``UnicodeDecodeError`` gives positions after the mark, as that codec did."""
     with open(path, "rb") as f:
         data = f.read()
@@ -652,13 +653,6 @@ def _compact(root: Substructure) -> str:
 # -- tabular style -----------------------------------------------------------
 
 
-class _Row:
-    def __init__(self, text: str, fld: Field | None = None, absorb: bool = False):
-        self.text = text
-        self.field = fld
-        self.can_absorb = absorb
-
-
 def _domain_column(text: str) -> str:
     """The DOMAIN cell of a domain that an annotation spells ``text``:
     ``[a|b]`` for ``enum:a|b``, and ``Type`` for ``ref:Type`` unless the
@@ -671,37 +665,44 @@ def _domain_column(text: str) -> str:
 
 
 def _tabular(ms: MessageStructure) -> str:
-    rows: list[_Row] = [_Row(f"{ms.name} =")]
+    # Rows are (text, field) pairs. A closer joins the row of the field
+    # just written (``absorb``), unless a separator or a closer ended it.
+    rows: list[tuple[str, Field | None]] = [(f"{ms.name} =", None)]
+    absorb = False
     pending = ""
     after_entry = True
     for entering, item in _traverse(ms.root):
         kind = type(item)
         if not after_entry and entering is not False:
             # A separator ends the row of the sibling before.
-            rows[-1].text += " |" if kind is tuple else " +"
-            rows[-1].can_absorb = False
+            text, fld = rows[-1]
+            rows[-1] = (text + (" |" if kind is tuple else " +"), fld)
+            absorb = False
         after_entry = entering
         if entering is None:
-            rows.append(_Row(pending + item.name, item, absorb=True))
+            rows.append((pending + item.name, item))
+            absorb = True
             pending = ""
         elif kind is tuple:
             continue
         elif entering:
             if item.name:
-                rows.append(_Row(pending + item.name + " ="))
+                rows.append((pending + item.name + " =", None))
+                absorb = False
                 pending = ""
             pending += _BRACKETS[kind][0] + " "
-        elif rows[-1].can_absorb:
-            rows[-1].text += " " + _BRACKETS[kind][1]
-            rows[-1].can_absorb = False
+        elif absorb:
+            text, fld = rows[-1]
+            rows[-1] = (text + " " + _BRACKETS[kind][1], fld)
+            absorb = False
         else:
-            rows.append(_Row(_BRACKETS[kind][1]))
+            rows.append((_BRACKETS[kind][1], None))
 
     lines = ["\t".join(_TAB_HEADER)]
-    for row in rows:
-        cells = [row.text]
-        if row.field is not None:
-            mapping = row.field.properties.to_mapping()
+    for text, fld in rows:
+        cells = [text]
+        if fld is not None:
+            mapping = fld.properties.to_mapping()
             extras = {
                 k: v for k, v in mapping.items() if k not in ("op", "domain", "example")
             }

@@ -136,25 +136,34 @@ def corpus_dir(tmp_path: Path) -> Path:
 def cli_env(**extra: str) -> dict[str, str]:
     """Environment for a ``python -m msgstruct`` child process.
 
+    Every child runs in dev mode with warnings as errors, as ``python -X dev
+    -W error`` does, so a warning that a command raises fails its test.
     The child runs in another working directory, where a relative
     ``PYTHONPATH`` entry such as ``src`` no longer resolves, so the absolute
     directory of the package under test goes first; inherited entries follow.
     """
     inherited = os.environ.get("PYTHONPATH")
     path = _PACKAGE_ROOT + (os.pathsep + inherited if inherited else "")
-    return dict(os.environ, PYTHONPATH=path, **extra)
+    return dict(os.environ, PYTHONPATH=path, PYTHONDEVMODE="1", PYTHONWARNINGS="error", **extra)
 
 
 @pytest.fixture()
 def run_cli():
-    def run(*args: str, cwd: Path | None = None) -> subprocess.CompletedProcess:
-        return subprocess.run(
+    """Run ``python -m msgstruct *args`` in ``cwd`` with ``cli_env(**env)``;
+    its output is text, or bytes when ``text`` is false. A child whose
+    stderr holds a traceback or a warning fails the test."""
+
+    def run(*args: str, cwd: Path | None = None, text: bool = True, **env: str) -> subprocess.CompletedProcess:
+        result = subprocess.run(
             [sys.executable, "-m", "msgstruct", *args],
             capture_output=True,
-            text=True,
+            text=text,
             cwd=cwd,
-            env=cli_env(),
+            env=cli_env(**env),
             timeout=60,
         )
+        err = result.stderr if text else result.stderr.decode("utf-8", "replace")
+        assert "Traceback" not in err and "Warning" not in err, err
+        return result
 
     return run

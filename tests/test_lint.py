@@ -202,6 +202,23 @@ def test_g1_respects_the_configured_wordlist():
     assert len(custom) == 1 and "Subtotal" in custom[0].message
 
 
+@pytest.mark.parametrize(
+    "build", [lambda: LintConfig(g1_wordlist=("Total",)), lambda: LintConfig.from_json({"g1_wordlist": ["Total"]})],
+    ids=["constructor", "from_json"],
+)
+def test_g1_words_match_regardless_of_case(build):
+    config = build()
+    assert config.g1_wordlist == ("total",)
+    diags = guideline_checks(parse("A=<Total amount+Item>"), Phase.ANALYSIS, config)
+    assert [d.code for d in diags] == ["G1"] and "'total'" in diags[0].message
+
+
+@pytest.mark.parametrize("words", [5, "total", ["total", 5], None], ids=["number", "string", "mixed", "none"])
+def test_a_g1_wordlist_that_is_not_strings_is_refused(words):
+    with pytest.raises(ValueError, match="^'g1_wordlist' must be a list of strings$"):
+        LintConfig(g1_wordlist=words)
+
+
 def test_g1_is_analysis_only():
     ms = parse("A=<Amount>")
     assert guideline_checks(ms, Phase.DESIGN_MEMORY) == []

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -42,12 +43,14 @@ from msgstruct.parser import (
     MAX_NESTING,
     ParseError,
     _FAST_KEYS,
+    _Parser,
     parse,
     parse_formula,
     structure_to_json_obj,
     to_text,
 )
 import parse_golden
+import strategies
 from parse_golden import mutate
 from properties import prop_print_parse_roundtrip
 
@@ -736,6 +739,19 @@ def test_parse_matches_the_golden_file():
         if parse_golden.outcome(text) != expected:
             changed.append(text)
     assert not changed, f"{len(changed)} of {len(records)} differ, the first: {changed[0]!r}"
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(strategies.structures())
+def test_the_fast_path_reads_what_the_general_path_reads(tree):
+    # The token and entry loops, which report every diagnostic, are the
+    # reference for the one-match fast path: with it declining every field,
+    # each printed tree parses to the same tree, spans included.
+    for style in ("compact", "tabular"):
+        text = to_text(tree, style)
+        with mock.patch.object(_Parser, "_fast_field", lambda self: None):
+            general = parse(text)
+        assert repr(parse(text)) == repr(general)
 
 
 def test_the_fast_keys_are_in_print_order():
