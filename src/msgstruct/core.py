@@ -340,8 +340,10 @@ class EnumeratedDomain(_Record):
 
 Domain = Union[BasicDomain, ReferenceDomain, EnumeratedDomain]
 
-# Domains are immutable, so each basic one is built once and shared.
-_BASIC_DOMAINS = {kind: BasicDomain(kind) for kind in BASIC_DOMAIN_KINDS}
+# The domain of each domain text read so far, seeded with the basic kinds;
+# see ``_domain_from_text``.
+_DOMAINS: dict[str, Domain] = {kind: BasicDomain(kind) for kind in BASIC_DOMAIN_KINDS}
+_MAX_DOMAINS = 1024
 
 
 def domain_to_text(d: Domain) -> str:
@@ -361,20 +363,39 @@ def domain_to_text(d: Domain) -> str:
 def _domain_from_text(text: str, written: str | None = None) -> Domain:
     """The domain that ``text`` spells: a basic kind, ``ref:Type`` or
     ``enum:a|b`` (literals split at '|', or else at blanks). Errors quote
-    ``written``, the text as the user wrote it, or else ``text``."""
+    ``written``, the text as the user wrote it, or else ``text``.
+
+    Each domain is built once per process and kept in ``_DOMAINS`` under
+    its text: the events of a project name the same business objects and
+    value sets file after file, while within one file most domain texts
+    are new, so a table per call would save little. The table is shared
+    state, and safe as such: domains are immutable records, shared already
+    as the basic ones and the parser's acquisitions are; it only grows, and
+    stops at ``_MAX_DOMAINS`` entries, past which domains are built and not
+    kept; without a lock, two threads that read the same new text at once
+    at worst build two equal domains and keep one, and threads that meet
+    at the bound pass it by one entry each. Only object identity can tell
+    a kept domain from a new one.
+    A text that fails is never kept, so it fails again, quoting its own
+    ``written``, on every call."""
+    domain = _DOMAINS.get(text)
+    if domain is not None:
+        return domain
     written = text if written is None else written
-    if text in _BASIC_DOMAINS:
-        return _BASIC_DOMAINS[text]
     try:
         if text.startswith("ref:"):
-            return ReferenceDomain(text[4:].strip())
-        if text.startswith("enum:"):
+            domain = ReferenceDomain(text[4:].strip())
+        elif text.startswith("enum:"):
             body = text[5:].strip()
             parts = body.split("|") if "|" in body else body.split()
-            return EnumeratedDomain(tuple(p.strip() for p in parts if p.strip()))
+            domain = EnumeratedDomain(tuple(p.strip() for p in parts if p.strip()))
     except ValueError as exc:  # the constructor's "<problem>: <domain>"; quote the domain as written
         problem = str(exc).partition(": ")[0]
         raise ValueError(f"{problem}: {written!r}") from None
+    if domain is not None:
+        if len(_DOMAINS) < _MAX_DOMAINS:
+            _DOMAINS[text] = domain
+        return domain
     raise ValueError(
         f"unknown domain {written!r} (expected one of {', '.join(BASIC_DOMAIN_KINDS)}, "
         "'ref:Type', or 'enum:a|b')"

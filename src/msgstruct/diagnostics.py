@@ -76,6 +76,8 @@ class _Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __eq__(self, other: object) -> bool:
+        if self is other:  # a shared record, such as a kept domain
+            return True
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self._eq_key(self) == other._eq_key(other)

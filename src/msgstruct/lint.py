@@ -23,11 +23,12 @@ from __future__ import annotations
 
 from enum import Enum
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from .core import (
     EnumeratedDomain,
     Field,
+    FieldProperties,
     MessageStructure,
     Specialisation,
     Substructure,
@@ -66,20 +67,21 @@ class Level(Enum):
 
 
 # The property kinds of the applicability matrix, in its column order, each
-# with the code and the label of its diagnostics.
+# with the code and the label of its diagnostics, and its test of whether a
+# field's properties hold it.
 _VOCABULARY = {
-    "name": ("L-NAME", "name"),
-    "op-i": ("L-OPI", "input operation"),
-    "op-g": ("L-OPG", "generation operation"),
-    "op-d": ("L-OPD", "derivation operation"),
-    "domain": ("L-DOM", "domain"),
-    "example": ("L-EX", "example"),
-    "description": ("L-DESC", "description"),
-    "label": ("L-LABEL", "label"),
-    "link": ("L-LINK", "link with memory"),
-    "compulsoriness": ("L-REQ", "compulsoriness"),
-    "initialisation": ("L-INIT", "initialisation"),
-    "visibility": ("L-VIS", "visibility"),
+    "name": ("L-NAME", "name", lambda p: True),
+    "op-i": ("L-OPI", "input operation", lambda p: p.acquisition is not None and p.acquisition.op == "i"),
+    "op-g": ("L-OPG", "generation operation", lambda p: p.acquisition is not None and p.acquisition.op == "g"),
+    "op-d": ("L-OPD", "derivation operation", lambda p: p.acquisition is not None and p.acquisition.op == "d"),
+    "domain": ("L-DOM", "domain", lambda p: p.domain is not None),
+    "example": ("L-EX", "example", lambda p: p.example is not None),
+    "description": ("L-DESC", "description", lambda p: p.description is not None),
+    "label": ("L-LABEL", "label", lambda p: p.label is not None),
+    "link": ("L-LINK", "link with memory", lambda p: p.memory_link is not None),
+    "compulsoriness": ("L-REQ", "compulsoriness", lambda p: p.compulsory is not None),
+    "initialisation": ("L-INIT", "initialisation", lambda p: p.initialisation is not None),
+    "visibility": ("L-VIS", "visibility", lambda p: p.visible is not None),
 }
 PROPERTY_KINDS = tuple(_VOCABULARY)
 
@@ -204,31 +206,6 @@ class LintConfig(_Record):
 DEFAULT_CONFIG = LintConfig()
 
 
-def _present_kinds(f: Field) -> list[str]:
-    """Property kinds present on a field, in matrix column order."""
-    p = f.properties
-    kinds = ["name"]
-    if p.acquisition is not None:
-        kinds.append(f"op-{p.acquisition.op}")
-    if p.domain is not None:
-        kinds.append("domain")
-    if p.example is not None:
-        kinds.append("example")
-    if p.description is not None:
-        kinds.append("description")
-    if p.label is not None:
-        kinds.append("label")
-    if p.memory_link is not None:
-        kinds.append("link")
-    if p.compulsory is not None:
-        kinds.append("compulsoriness")
-    if p.initialisation is not None:
-        kinds.append("initialisation")
-    if p.visible is not None:
-        kinds.append("visibility")
-    return kinds
-
-
 def lint(
     ms: MessageStructure,
     phase: Phase,
@@ -240,58 +217,47 @@ def lint(
     written down, not what is left out) unless ``config.report_missing``
     asks for info-level reminders about absent highly-recommended ones.
     """
-    # The phase's row of the matrix, resolved once per call: the kinds that
-    # report, with their severity and the word for their level, and the
-    # kinds that are highly recommended.
-    reported: dict[str, tuple[Severity, str, str]] = {}
-    wanted: list[str] = []
+    # The phase's row of the matrix, resolved once per call, in column
+    # order: the kinds that report, with their test, severity, code and
+    # text; and, for ``report_missing``, the highly recommended ones with
+    # their test and label, where one acquisition operation stands for the
+    # three.
+    reported: list[tuple[Callable[[FieldProperties], bool], Severity, str, str]] = []
+    wanted: list[tuple[Callable[[FieldProperties], bool], str]] = []
     for kind, level in zip(PROPERTY_KINDS, _ROWS[phase]):
+        code, label, present = _VOCABULARY[kind]
         severity = config.severity_map[level]
         if severity is not None:
             word = "discouraged" if level is Level.DISCOURAGED else "not recommended"
-            code, label = _VOCABULARY[kind]
-            reported[kind] = (severity, code, f"{label} {word}")
-        if level is Level.HIGHLY_RECOMMENDED:
-            wanted.append(kind)
+            reported.append((present, severity, code, f"{label} {word}"))
+        if config.report_missing and level is Level.HIGHLY_RECOMMENDED:
+            if kind == "op-i":
+                wanted.append((_has_acquisition, "acquisition operation"))
+            elif not kind.startswith("op-"):
+                wanted.append((present, label))
+    if not reported and not wanted:
+        return []
     out: list[Diagnostic] = []
     for f in iter_fields(ms):
-        present = _present_kinds(f)
-        for kind in present:
-            rule = reported.get(kind)
-            if rule is None:
-                continue
-            severity, code, text = rule
-            out.append(
-                Diagnostic(
-                    severity,
-                    code,
-                    f"{text} in {phase.value} (field {f.name!r})",
-                    f.span,
-                )
-            )
-        if config.report_missing:
-            for label in _missing_labels(wanted, present):
+        p = f.properties
+        for present, severity, code, text in reported:
+            if present(p):
+                out.append(Diagnostic(severity, code, f"{text} in {phase.value} (field {f.name!r})", f.span))
+        for present, label in wanted:
+            if not present(p):
                 out.append(
                     Diagnostic(
                         Severity.INFO,
                         "L-MISS",
-                        f"{label} is highly recommended in {phase.value} "
-                        f"but missing (field {f.name!r})",
+                        f"{label} is highly recommended in {phase.value} but missing (field {f.name!r})",
                         f.span,
                     )
                 )
     return out
 
 
-def _missing_labels(wanted: list[str], present: list[str]) -> list[str]:
-    # ``wanted``: the kinds highly recommended in the phase, in matrix order.
-    missing = []
-    if "op-i" in wanted and not any(k.startswith("op-") for k in present):
-        missing.append("acquisition operation")
-    for kind in wanted:
-        if not kind.startswith("op-") and kind not in present:
-            missing.append(_VOCABULARY[kind][1])
-    return missing
+def _has_acquisition(p: FieldProperties) -> bool:
+    return p.acquisition is not None
 
 
 def guideline_checks(

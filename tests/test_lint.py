@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import strategies
 from conftest import ORDER_TEXT
-from msgstruct.core import Field, MessageStructure, Specialisation, walk
+from msgstruct.core import Field, MessageStructure, Specialisation, iter_fields, walk
 from msgstruct.derive import CommunicativeEvent, DerivationError, derive_view
-from msgstruct.diagnostics import Severity
+from msgstruct.diagnostics import Diagnostic, Severity
 from msgstruct.fragment import fragment_1nf
 from msgstruct.lint import (
     APPLICABILITY,
@@ -19,6 +20,8 @@ from msgstruct.lint import (
     LintConfig,
     PROPERTY_KINDS,
     Phase,
+    _ROWS,
+    _VOCABULARY,
     guideline_checks,
     lint,
 )
@@ -115,6 +118,74 @@ def test_lint_is_deterministic(order):
     a = lint(order, Phase.DESIGN_MEMORY)
     b = lint(order, Phase.DESIGN_MEMORY)
     assert a == b
+
+
+def _reference_lint(ms: MessageStructure, phase: Phase, config: LintConfig) -> list[Diagnostic]:
+    """The matrix check as a plain loop over every field's present kinds:
+    list them in column order, then look each one up in the phase's row."""
+
+    def present_kinds(f: Field) -> list[str]:
+        p = f.properties
+        kinds = ["name"]
+        if p.acquisition is not None:
+            kinds.append(f"op-{p.acquisition.op}")
+        for kind, value in (
+            ("domain", p.domain),
+            ("example", p.example),
+            ("description", p.description),
+            ("label", p.label),
+            ("link", p.memory_link),
+            ("compulsoriness", p.compulsory),
+            ("initialisation", p.initialisation),
+            ("visibility", p.visible),
+        ):
+            if value is not None:
+                kinds.append(kind)
+        return kinds
+
+    reported = {}
+    wanted = []
+    for kind, level in zip(PROPERTY_KINDS, _ROWS[phase]):
+        code, label = _VOCABULARY[kind][:2]
+        severity = config.severity_map[level]
+        if severity is not None:
+            word = "discouraged" if level is Level.DISCOURAGED else "not recommended"
+            reported[kind] = (severity, code, f"{label} {word}")
+        if level is Level.HIGHLY_RECOMMENDED:
+            wanted.append(kind)
+    out = []
+    for f in iter_fields(ms):
+        present = present_kinds(f)
+        for kind in present:
+            if kind in reported:
+                severity, code, text = reported[kind]
+                out.append(Diagnostic(severity, code, f"{text} in {phase.value} (field {f.name!r})", f.span))
+        if config.report_missing:
+            missing = []
+            if "op-i" in wanted and not any(k.startswith("op-") for k in present):
+                missing.append("acquisition operation")
+            missing += [_VOCABULARY[k][1] for k in wanted if not k.startswith("op-") and k not in present]
+            for label in missing:
+                message = f"{label} is highly recommended in {phase.value} but missing (field {f.name!r})"
+                out.append(Diagnostic(Severity.INFO, "L-MISS", message, f.span))
+    return out
+
+
+_LAW_CONFIGS = (
+    LintConfig(),
+    LintConfig(report_missing=True),
+    # Every level reports, and so does every missing property.
+    LintConfig.from_json({"severity": {"++": "info", "+": "info", "-": "warning"}, "report_missing": True}),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(strategies.structures())
+def test_lint_tests_only_the_kinds_its_phase_reports(ms):
+    # Testing only the kinds that report, in column order, gives what
+    # testing every present kind gives: the same diagnostics in the same order.
+    for phase, config in itertools.product(Phase, _LAW_CONFIGS):
+        assert lint(ms, phase, config) == _reference_lint(ms, phase, config), (phase, config)
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,7 @@ from msgstruct.core import (
     iter_fields,
     walk,
 )
+from msgstruct.derive import diagram_from_json_obj
 from msgstruct.parser import (
     MAX_NESTING,
     ParseError,
@@ -145,6 +146,74 @@ def test_enum_domain_accepts_space_or_pipe_separators():
         assert next(iter_fields(ms)).properties.domain == expected
     # The pipe form is canonical on output.
     assert 'domain=enum:theo|prac' in to_text(pipe)
+
+
+def _domain_of(ms: MessageStructure):
+    return next(iter_fields(ms)).properties.domain
+
+
+@pytest.mark.parametrize(
+    "annotation, cell",
+    [("ref:Customer", "Customer"), ("enum:cash|card", "[cash|card]")],
+)
+def test_a_domain_text_gives_one_domain_object(annotation, cell):
+    first = _domain_of(parse(f"A=<x (domain={annotation})>"))
+    tabular = _TABLE + f"A =\n< x\ti\t{cell}\n>\n"
+    readings = [
+        parse(f"B=<y (op=i; domain={annotation})>"),
+        # Keys out of print order: the entry loop reads them.
+        parse(f'A=<x (# note\nexample="1"; domain={annotation})>'),
+        parse(tabular),
+    ]
+    with mock.patch.object(_Parser, "_fast_field", lambda self: None):
+        readings += [parse(tabular), parse(f"A=<x (domain={annotation})>")]
+    assert all(_domain_of(ms) is first for ms in readings)
+    diagram = diagram_from_json_obj(
+        {"classes": [{"name": "A", "kind": "defined", "attributes": [{"name": "x", "domain": annotation}]}]}
+    )
+    assert diagram.classes[0].attributes[0].domain is first
+
+
+def test_a_bad_domain_fails_on_every_call_quoting_what_was_written():
+    row = _TABLE + "A =\n< x\ti\ttime;\n>"
+
+    def failures() -> list[str]:
+        messages = []
+        for text, written in (("ref:time;", None), ("ref:time;", "time;"), ("enum:a|a", None)):
+            with pytest.raises(ValueError) as exc:
+                core._domain_from_text(text, written)
+            messages.append(str(exc.value))
+        return messages + [_diagnostic(row)[1]]
+
+    expected = [
+        "reference domain needs a type name: 'ref:time;'",
+        "reference domain needs a type name: 'time;'",
+        "duplicate literals in enumerated domain: 'enum:a|a'",
+        "reference domain needs a type name: 'time;'",
+    ]
+    assert failures() == expected
+    # Good texts next to the bad ones are kept; the bad ones still fail.
+    assert core._domain_from_text("ref:time") == ReferenceDomain("time")
+    assert core._domain_from_text("enum:a") == EnumeratedDomain(("a",))
+    assert failures() == expected
+    assert "ref:time;" not in core._DOMAINS and "enum:a|a" not in core._DOMAINS
+
+
+def test_past_its_bound_the_domain_table_stops_growing(monkeypatch):
+    table = dict(core._DOMAINS)
+    monkeypatch.setattr(core, "_DOMAINS", table)
+    for i in range(core._MAX_DOMAINS):
+        core._domain_from_text(f"ref:Filler{i}")
+    assert len(table) == core._MAX_DOMAINS
+    late = [
+        ("A=<x (domain=ref:Overflow)>", "ref:Overflow", ReferenceDomain("Overflow")),
+        (_TABLE + "A =\n< x\ti\t[over|flow]\n>\n", "enum:over|flow", EnumeratedDomain(("over", "flow"))),
+    ]
+    for text, key, built in late:
+        assert key not in table
+        once, again = _domain_of(parse(text)), _domain_of(parse(text))
+        assert once == again == built and once is not again
+    assert len(table) == core._MAX_DOMAINS
 
 
 def test_top_level_list_is_an_implicit_aggregation():
