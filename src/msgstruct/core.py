@@ -17,7 +17,7 @@ from functools import cache
 from operator import attrgetter
 from typing import Iterator, Union
 
-from .diagnostics import SourceSpan, _Record, _replace
+from .diagnostics import SourceSpan, _Located, _locate, _Record, _replace
 
 
 def _name(gap: str) -> str:
@@ -521,11 +521,12 @@ def _check_link(link: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-class _Node(_Record):
+class _Node(_Located):
     """Structural equality for the tree's nodes: equal class and equal flat
     keys, read off ``walk`` without recursion. A key has one entry per node
     (kind, name, and a field's properties or a complex node's part counts)
-    and leaves spans out."""
+    and leaves spans out. A parsed node's span is built when read
+    (``diagnostics._Located``)."""
 
     __slots__ = ()
 
@@ -753,16 +754,17 @@ def canonicalize(ms: MessageStructure) -> MessageStructure:
         if kind is tuple:
             return tuple(parts)
         if kind is Iteration:
-            parts = [_wrap(tuple(parts), item.span)]
+            parts = [_wrap(tuple(parts), item)]
         elif kind is Specialisation:
-            parts = [(_wrap(variant, item.span),) for variant in parts]
-        return kind(None, tuple(parts), span=item.span)
+            parts = [(_wrap(variant, item),) for variant in parts]
+        return _locate(kind(None, tuple(parts), item._where), item)
 
     return _replace(ms, root=_fold(ms.root, build))
 
 
-def _wrap(items: tuple[Substructure, ...], span: SourceSpan | None) -> Aggregation:
-    return _lone_aggregation(items) or Aggregation(None, items, span=span)
+def _wrap(items: tuple[Substructure, ...], origin: Iteration | Specialisation) -> Aggregation:
+    """``items`` as one aggregation, at the place of ``origin`` if it is made."""
+    return _lone_aggregation(items) or _locate(Aggregation(None, items, origin._where), origin)
 
 
 def _lone_aggregation(items: tuple[Substructure, ...]) -> Aggregation | None:

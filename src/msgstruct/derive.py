@@ -39,6 +39,7 @@ from typing import TYPE_CHECKING, NoReturn
 
 from .core import (
     Domain,
+    Field,
     Formula,
     Iteration,
     MessageStructure,
@@ -235,11 +236,12 @@ class _ViewBuilder:
     def fail(self, code: str, message: str, span: SourceSpan | None = None) -> NoReturn:
         raise DerivationError(Diagnostic(Severity.ERROR, code, message, span), self.file)
 
-    def add_attribute(self, cls: str, attr: Attribute, span: SourceSpan | None) -> None:
-        """Derivation: a second attribute of one name in a class is an error."""
+    def add_attribute(self, cls: str, attr: Attribute, field: Field) -> None:
+        """Derivation: a second attribute of one name in a class is an error,
+        at the span of ``field``, which is read only then."""
         attrs = self.attrs[cls]
         if attr.name in attrs:
-            self.fail("D002", f"duplicate attribute {attr.name!r} in class {cls!r}", span)
+            self.fail("D002", f"duplicate attribute {attr.name!r} in class {cls!r}", field.span)
         attrs[attr.name] = attr
 
     def merge_attribute(self, cls: str, attr: Attribute) -> None:
@@ -296,10 +298,10 @@ def derive_view(event: CommunicativeEvent) -> ClassDiagram:
                 target = builder.add_class(class_name(domain.target), "referenced")
                 builder.associate(Association(cls, target, "reference", "one"))
             elif acquisition is None:
-                builder.add_attribute(cls, Attribute(item.name, domain, optional=optional), item.span)
+                builder.add_attribute(cls, Attribute(item.name, domain, optional=optional), item)
             else:
                 attr = Attribute(item.name, domain, acquisition.op, acquisition.formula, optional)
-                builder.add_attribute(cls, attr, item.span)
+                builder.add_attribute(cls, attr, item)
             continue
         if not entering:
             cls, optional, spec = saved.pop()
@@ -393,29 +395,88 @@ def _attribute_to_json(a: Attribute) -> dict:
 
 
 def diagram_from_json_obj(obj: dict) -> ClassDiagram:
-    classes = tuple(
-        ClassSpec(
-            c["name"],
-            c["kind"],
-            tuple(
-                Attribute(
-                    a["name"],
-                    _domain_from_text(a["domain"]) if a.get("domain") else None,
-                    a.get("acquisition"),
-                    parse_formula(a["formula"]) if a.get("formula") else None,
-                    bool(a.get("optional", False)),
-                )
-                for a in c.get("attributes", [])
-            ),
-            c.get("parent"),
+    """The diagram that ``diagram_to_json_obj`` gives ``obj`` for. Input off
+    that schema raises ``ValueError`` naming the path of the bad item, such
+    as ``classes[0].attributes[1].domain``."""
+    classes = []
+    for i, c in enumerate(_member(obj, "classes", "", (list, tuple), ())):
+        path = f"classes[{i}]"
+        attributes = _member(c, "attributes", path, (list, tuple), ())
+        classes.append(
+            ClassSpec(
+                _member(c, "name", path, str),
+                _choice(c, "kind", path, ("defined", "referenced", "subclass")),
+                tuple(_attribute_from_json(a, f"{path}.attributes[{j}]") for j, a in enumerate(attributes)),
+                _member(c, "parent", path, str, None),
+            )
         )
-        for c in obj.get("classes", [])
-    )
-    associations = tuple(
-        Association(a["from"], a["to"], a["kind"], a.get("multiplicity"))
-        for a in obj.get("associations", [])
-    )
-    return ClassDiagram(classes, associations)
+    associations = []
+    for i, a in enumerate(_member(obj, "associations", "", (list, tuple), ())):
+        path = f"associations[{i}]"
+        associations.append(
+            Association(
+                _member(a, "from", path, str),
+                _member(a, "to", path, str),
+                _choice(a, "kind", path, tuple(_PLANTUML_EDGE)),
+                _choice(a, "multiplicity", path, tuple(_PLANTUML_MULT), None),
+            )
+        )
+    return ClassDiagram(tuple(classes), tuple(associations))
+
+
+def _attribute_from_json(a: dict, path: str) -> Attribute:
+    name, domain = _member(a, "name", path, str), _member(a, "domain", path, str, "")
+    acquisition, formula = _choice(a, "acquisition", path, ("i", "g", "d"), None), _member(a, "formula", path, str, "")
+    try:
+        domain = _domain_from_text(domain) if domain else None
+    except ValueError as exc:
+        raise ValueError(f"{path}.domain: {exc}") from None
+    try:
+        formula = parse_formula(formula) if formula else None
+    except ValueError as exc:
+        raise ValueError(f"{path}.formula: {exc}") from None
+    return Attribute(name, domain, acquisition, formula, bool(a.get("optional", False)))
+
+
+# Where a member is required, its default.
+_REQUIRED = object()
+
+
+def _member(obj: dict, key: str, path: str, kind: type | tuple[type, ...], default: object = _REQUIRED):
+    """Member ``key`` of the object at ``path`` ("" for the top), which must
+    be of ``kind``; ``default`` where it is absent or null, unless required."""
+    if type(obj) is not dict:
+        raise ValueError(f"{path or 'diagram'}: expected an object, found {_json_kind(obj)}")
+    value = obj.get(key)
+    where = f"{path}.{key}" if path else key
+    if value is None:
+        if default is _REQUIRED:
+            raise ValueError(f"{where}: missing")
+        return default
+    if not isinstance(value, kind):
+        expected = _JSON_KINDS[kind[0] if type(kind) is tuple else kind]
+        raise ValueError(f"{where}: expected {expected}, found {_json_kind(value)}")
+    return value
+
+
+def _choice(obj: dict, key: str, path: str, choices: tuple[str, ...], default: object = _REQUIRED):
+    """A string member that must be one of ``choices`` (see ``_member``)."""
+    value = _member(obj, key, path, str, default)
+    if value is not default and value not in choices:
+        where = f"{path}.{key}" if path else key
+        raise ValueError(f"{where}: expected one of {', '.join(choices)}, found {value!r}")
+    return value
+
+
+# What JSON calls the values of each type that ``json.loads`` gives.
+_JSON_KINDS = {
+    dict: "an object", list: "an array", tuple: "an array", str: "a string", bool: "a boolean", int: "a number",
+    float: "a number", type(None): "null",
+}
+
+
+def _json_kind(value: object) -> str:
+    return _JSON_KINDS.get(type(value)) or type(value).__name__
 
 
 _PLANTUML_EDGE = {"composition": "*--", "reference": "-->", "generalisation": "<|--"}

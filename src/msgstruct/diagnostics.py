@@ -4,16 +4,24 @@ the package's JSON writer."""
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from enum import Enum
 from itertools import chain
 from operator import attrgetter
 
+
 def _replace(record, /, **changes):
     """A copy of ``record`` with some fields changed, as ``dataclasses.replace``
-    makes it: through the class's own constructor, which checks the result."""
+    makes it: through the class's own constructor, which checks the result.
+    A parsed record's span that is not changed is copied as kept, not built."""
+    if "span" in changes or not isinstance(record, _Located):
+        origin = None
+    else:
+        origin, changes["span"] = record, record._where
     for name in record.__match_args__:
-        changes.setdefault(name, getattr(record, name))
-    return type(record)(**changes)
+        if name not in changes:
+            changes[name] = getattr(record, name)
+    return _locate(type(record)(**changes), origin)
 
 
 class _DataclassFields:
@@ -58,7 +66,7 @@ class _Record:
 
     def __init_subclass__(cls, compare: tuple[str, ...] | None = None) -> None:
         super().__init_subclass__()
-        if not cls.__slots__:
+        if "__init__" not in cls.__dict__:  # a base, with no fields of its own
             return
         cls.__match_args__ = cls.__slots__
         # Each slot's own ``__set__`` stores a field without the generic
@@ -142,13 +150,116 @@ class SourceSpan(_Record):
         return f"{self.start_line}:{self.start_col}"
 
 
+def _span_of(starts, lines: int, start: int, end: int) -> SourceSpan:
+    """The span of ``text[start:end]``, given the offsets ``starts[:lines]``
+    where the text's lines start and ``starts[lines]``, one past its end. It
+    ends one column before ``end``, but never before column 1 or before it
+    starts, so an empty range is the one character at ``start``."""
+    line = bisect_right(starts, start, 0, lines)
+    base = starts[line - 1]
+    col = start - base + 1
+    if end < starts[line]:  # on the same line, as most spans are
+        return SourceSpan(line, col, line, max(col, end - base))
+    end_line = bisect_right(starts, end, 0, lines)
+    return SourceSpan(line, col, end_line, max(1, end - starts[end_line - 1]))
+
+
+class _Source:
+    """Where the records parsed from one text lie in it. While the text is
+    parsed, ``table`` is the list of the offsets where its lines start and
+    ``offsets`` holds the start and end offset of each record placed in
+    it, in the order of their ``_index``."""
+
+    __slots__ = ("table", "lines", "offsets")
+
+    def __init__(self, line_starts: list[int]) -> None:
+        self.table, self.lines, self.offsets = line_starts, len(line_starts) - 1, []
+
+    def place(self, record: _Located, start: int, end: int) -> _Located:
+        """``record``, built with this source as its span, placed at ``text[start:end]``."""
+        offsets = self.offsets
+        _set_index(record, len(offsets) >> 1)
+        offsets += start, end
+        return record
+
+    def bounds(self, first: _Located, last: _Located) -> tuple[int, int]:
+        """The start of ``first`` and the end of ``last``, placed here."""
+        offsets = self.offsets
+        return offsets[2 * first._index], offsets[2 * last._index + 1]
+
+    def pack(self) -> None:
+        """Keep the line starts and the offsets in one bytearray of unsigned
+        ints, once the text is parsed, so that a tree keeps no int object
+        per line or per node."""
+        values = self.table + self.offsets
+        view = memoryview(bytearray(4 * len(values))).cast("I")
+        for i, value in enumerate(values):
+            view[i] = value
+        self.table, self.offsets = view.obj, None
+        view.release()
+
+    def span(self, index: int) -> SourceSpan:
+        """The span of the record placed at ``index``, in a packed source.
+        The first read keeps the table's view, for the reads after it."""
+        table, lines = self.table, self.lines
+        if type(table) is bytearray:
+            table = self.table = memoryview(table).cast("I")
+        at = lines + 1 + 2 * index
+        return _span_of(table, lines, table[at], table[at + 1])
+
+
+class _SpanField(property):
+    """The ``span`` field of a located record: the span as kept, read
+    through the slot, or the ``SourceSpan`` of its place, built on each read."""
+
+    def __init__(self, slot) -> None:
+        get = slot.__get__
+
+        def span(record: _Located) -> SourceSpan | None:
+            where = get(record)
+            return where.span(record._index) if where.__class__ is _Source else where
+
+        super().__init__(span, slot.__set__)
+        self.__name__ = "span"
+
+
+class _Located(_Record):
+    """Base of the records with a ``span`` field: the tree's nodes and
+    ``Diagnostic``. A record built in code keeps the ``SourceSpan`` (or None)
+    it is given. A parsed record keeps its place instead: the ``_Source`` of
+    its text in the span's slot, read as ``_where``, and its number there in
+    ``_index``. Its ``span`` is built from that when read, so a span read
+    twice is equal but not the same object. Copies, pickles, ``repr``,
+    ``==`` and the ``dataclasses`` functions read the built span."""
+
+    __slots__ = ("_index",)
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        slot = cls.__dict__.get("span")
+        if slot is not None:
+            cls._where = slot
+            cls.span = _SpanField(slot)
+        super().__init_subclass__(**kwargs)
+
+
+_set_index = _Located._index.__set__
+
+
+def _locate(record: _Record, origin: _Record | None) -> _Record:
+    """``record``, just built with ``span=origin._where``, placed where the
+    parsed ``origin`` is; the span is copied as kept, not built."""
+    if origin is not None and origin._where.__class__ is _Source:
+        _set_index(record, origin._index)
+    return record
+
+
 class Severity(Enum):
     ERROR = "error"
     WARNING = "warning"
     INFO = "info"
 
 
-class Diagnostic(_Record):
+class Diagnostic(_Located):
     """One reported finding. Codes are stable across releases for a given rule."""
 
     __slots__ = ("severity", "code", "message", "span")
@@ -161,9 +272,9 @@ class Diagnostic(_Record):
         set_span(self, span)
 
     def render(self, filename: str | None = None) -> str:
-        where = filename or "<input>"
-        if self.span is not None:
-            where = f"{where}:{self.span.start_line}:{self.span.start_col}"
+        where, span = filename or "<input>", self.span
+        if span is not None:
+            where = f"{where}:{span.start_line}:{span.start_col}"
         return f"{where}: {self.severity.value}: {self.code}: {self.message}"
 
     def to_json_obj(self) -> dict:
@@ -172,12 +283,13 @@ class Diagnostic(_Record):
             "code": self.code,
             "message": self.message,
         }
-        if self.span is not None:
+        span = self.span
+        if span is not None:
             obj["span"] = {
-                "startLine": self.span.start_line,
-                "startCol": self.span.start_col,
-                "endLine": self.span.end_line,
-                "endCol": self.span.end_col,
+                "startLine": span.start_line,
+                "startCol": span.start_col,
+                "endLine": span.end_line,
+                "endCol": span.end_col,
             }
         return obj
 

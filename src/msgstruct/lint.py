@@ -37,7 +37,7 @@ from .core import (
     iter_fields,
     walk,
 )
-from .diagnostics import Diagnostic, Severity, _Record
+from .diagnostics import Diagnostic, Severity, _locate, _Record
 
 if TYPE_CHECKING:
     from pathlib import Path
@@ -242,17 +242,12 @@ def lint(
         p = f.properties
         for present, severity, code, text in reported:
             if present(p):
-                out.append(Diagnostic(severity, code, f"{text} in {phase.value} (field {f.name!r})", f.span))
+                message = f"{text} in {phase.value} (field {f.name!r})"
+                out.append(_locate(Diagnostic(severity, code, message, f._where), f))
         for present, label in wanted:
             if not present(p):
-                out.append(
-                    Diagnostic(
-                        Severity.INFO,
-                        "L-MISS",
-                        f"{label} is highly recommended in {phase.value} but missing (field {f.name!r})",
-                        f.span,
-                    )
-                )
+                message = f"{label} is highly recommended in {phase.value} but missing (field {f.name!r})"
+                out.append(_locate(Diagnostic(Severity.INFO, "L-MISS", message, f._where), f))
     return out
 
 
@@ -288,16 +283,12 @@ def guideline_checks(
             words = {w.lower() for w in f.name.replace("-", " ").split()}
             hits = sorted(words & wordlist)
             if hits:
-                out.append(
-                    Diagnostic(
-                        Severity.INFO,
-                        "G1",
-                        f"field {f.name!r} looks derivable from the rest of the "
-                        f"message (name contains {', '.join(repr(h) for h in hits)}); "
-                        "such fields are better left to design",
-                        f.span,
-                    )
+                message = (
+                    f"field {f.name!r} looks derivable from the rest of the "
+                    f"message (name contains {', '.join(repr(h) for h in hits)}); "
+                    "such fields are better left to design"
                 )
+                out.append(_locate(Diagnostic(Severity.INFO, "G1", message, f._where), f))
         for formula in (
             f.properties.acquisition.formula if f.properties.acquisition else None,
             f.properties.initialisation,
@@ -306,14 +297,8 @@ def guideline_checks(
                 continue
             for ref in formula_refs(formula):
                 if ref not in known:
-                    out.append(
-                        Diagnostic(
-                            Severity.ERROR,
-                            "G2",
-                            f"formula on field {f.name!r} references unknown field {ref!r}",
-                            f.span,
-                        )
-                    )
+                    message = f"formula on field {f.name!r} references unknown field {ref!r}"
+                    out.append(_locate(Diagnostic(Severity.ERROR, "G2", message, f._where), f))
 
     out.extend(carriers)
     return out
@@ -335,15 +320,8 @@ def _check_domain_carrier(siblings: tuple[Substructure, ...]) -> list[Diagnostic
         for f in enums:
             literals = f.properties.domain.literals
             if len(literals) == len(variant_names) and _literals_match(literals, variant_names):
-                out.append(
-                    Diagnostic(
-                        Severity.WARNING,
-                        "G3",
-                        f"specialisation duplicates the enumerated domain of "
-                        f"field {f.name!r} ({'|'.join(literals)})",
-                        spec.span,
-                    )
-                )
+                message = f"specialisation duplicates the enumerated domain of field {f.name!r} ({'|'.join(literals)})"
+                out.append(_locate(Diagnostic(Severity.WARNING, "G3", message, spec._where), spec))
     return out
 
 

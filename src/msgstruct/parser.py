@@ -64,7 +64,7 @@ from .core import (
     _unescape,
     parse_formula,
 )
-from .diagnostics import Diagnostic, Severity, SourceSpan, _replace
+from .diagnostics import Diagnostic, Severity, SourceSpan, _replace, _Source, _span_of
 
 if TYPE_CHECKING:
     from pathlib import Path
@@ -224,8 +224,9 @@ class _Parser:
 
     ``name`` is the name at the current token (None if it is not a name),
     ``ch`` its first character ("" at the end of input), and ``start`` and
-    ``end`` its offsets. Line and column numbers are looked up only when a
-    node or a diagnostic needs a span.
+    ``end`` its offsets. Each node is built with ``source`` as its span and
+    placed in it at its offsets; line and column numbers are looked up only
+    when a diagnostic is raised, or when a node's span is read.
 
     The tabular layout is read in place: reading starts after the header
     row, a field reads the cells of its row (``_read_cells``), and ``cells``
@@ -243,6 +244,7 @@ class _Parser:
         self.spell = _single_spaced if names is None else partial(_kept, names.setdefault)
         lines = text.split("\n")
         self.line_starts = [0, *accumulate(len(line) + 1 for line in lines)]
+        self.source = _Source(self.line_starts)
         # The header row is the first line that is not blank or a comment,
         # when its first tab-separated cell is FIELD.
         row = next((i for i, ln in enumerate(lines) if ln.strip() and not ln.lstrip().startswith("#")), 0)
@@ -269,21 +271,9 @@ class _Parser:
     def _line_end(self, offset: int) -> int:
         return self.line_starts[bisect_right(self.line_starts, offset)] - 1
 
-    def _loc(self, offset: int) -> tuple[int, int]:
-        line = bisect_right(self.line_starts, offset)
-        return line, offset - self.line_starts[line - 1] + 1
-
     def _span(self, start: int, end: int) -> SourceSpan:
-        """The span of ``text[start:end]``. It ends one column before
-        ``end``, but never before column 1 or before it starts, so an empty
-        range is the one character at ``start``."""
-        starts = self.line_starts
-        line = bisect_right(starts, start)
-        col = start - starts[line - 1] + 1
-        if end < starts[line]:  # on the same line, as most spans are
-            return SourceSpan(line, col, line, max(col, end - starts[line - 1]))
-        end_line, end_col = self._loc(end)
-        return SourceSpan(line, col, end_line, max(1, end_col - 1))
+        """The span of ``text[start:end]`` (``diagnostics._span_of``)."""
+        return _span_of(self.line_starts, self.source.lines, start, end)
 
     def _fast_field(self) -> tuple[Field, bool] | None:
         """The field at the current name, read in one match with its
@@ -313,7 +303,8 @@ class _Parser:
                 properties, end = _properties(*values), m.end("annotation")
         except ValueError:
             return None
-        field = Field(self.spell(self.name), properties, self._span(self.start, end))
+        source = self.source
+        field = source.place(Field(self.spell(self.name), properties, source), self.start, end)
         if tail is not None:
             self.cells = m.end("tail")
             self._next()
@@ -370,17 +361,17 @@ class _Parser:
             if self.ch in _CLOSERS:
                 self._fail("P001", f"unbalanced bracket: stray {self.ch!r}", self.start)
             self._fail("P007", f"unexpected trailing input {self.ch!r}", self.start)
-        root, last = items[0], items[-1].span
+        source, root = self.source, items[0]
+        first, last = source.bounds(root, items[-1])
         if len(items) > 1 or root.name is not None:
             # Unbracketed top level: the initial aggregation is left implicit.
-            first = root.span
-            span = SourceSpan(first.start_line, first.start_col, last.end_line, last.end_col)
-            root = Aggregation(None, tuple(items), span=span)
-        span = SourceSpan(*self._loc(start), last.end_line, last.end_col)
+            root = source.place(Aggregation(None, tuple(items), source), first, last)
         try:
-            return MessageStructure(name, root, span=span)
+            ms = source.place(MessageStructure(name, root, source), start, last)
         except ValueError as exc:  # the root is an anonymous specialisation
-            raise _error("P004", str(exc), root.span) from None
+            raise _error("P004", str(exc), self._span(first, last)) from None
+        source.pack()
+        return ms
 
     def _parse_list(self) -> list[Substructure]:
         items: list[Substructure] = []
@@ -420,7 +411,7 @@ class _Parser:
             if properties is not None and self.ch == "=":
                 self._fail("P007", f"annotated name {name!r} cannot introduce a complex substructure", self.start)
             if self.ch != "=":
-                return Field(name, properties or EMPTY_PROPERTIES, span=self._span(start, end))
+                return self.source.place(Field(name, properties or EMPTY_PROPERTIES, self.source), start, end)
             eq = self.start
             self._next()
             if not self.ch or self.ch not in _OPENERS:
@@ -442,12 +433,12 @@ class _Parser:
             if self.ch in _CLOSERS:
                 self._fail("P001", f"unbalanced bracket: expected {closer!r}, found {self.ch!r}", self.start)
             self._fail("P007", f"expected '+' or {closer!r}, found {self.ch!r}", self.start)
-        span = self._span(start, self.end)
+        end, source = self.end, self.source
         self._next()
         self.depth -= 1
         if opener == "[":
-            return Specialisation(name, tuple(lists), span=span)
-        return (Aggregation if opener == "<" else Iteration)(name, lists[0], span=span)
+            return source.place(Specialisation(name, tuple(lists), source), start, end)
+        return source.place((Aggregation if opener == "<" else Iteration)(name, lists[0], source), start, end)
 
     # -- property annotations --------------------------------------------------
 

@@ -779,14 +779,16 @@ _LOADED_AFTER = """
 import sys
 {statement}
 print(" ".join(m for m in sys.modules if m.startswith("msgstruct.") or m in (
-    "json", "dataclasses", "inspect", "argparse", "gettext", "locale",
+    "json", "dataclasses", "inspect", "argparse", "gettext", "locale", "array",
 )))
 """
 
 
 # The records are not dataclasses and the arguments are read from a table,
-# so no command pays for that machinery or for argparse's translations.
-_UNUSED_BY_ANY = {"dataclasses", "inspect", "argparse", "gettext", "locale"}
+# so no command pays for that machinery or for argparse's translations. A
+# parsed text keeps its offsets in a bytearray, not in an ``array``, whose
+# import would cost every command a fraction of a millisecond.
+_UNUSED_BY_ANY = {"dataclasses", "inspect", "argparse", "gettext", "locale", "array"}
 _UNUSED_BY_PARSING = {"msgstruct.derive", "msgstruct.fragment", "json"} | _UNUSED_BY_ANY
 
 

@@ -28,6 +28,7 @@ from msgstruct.core import (
     Text,
     _shape,
     canonicalize,
+    domain_to_text,
     equivalent,
     field_names,
     formula_refs,
@@ -517,3 +518,11 @@ def test_a_child_that_is_not_a_node_is_refused_by_the_constructors(build, stray)
 def test_a_variant_that_is_not_a_tuple_is_refused_by_the_constructor(variant):
     with pytest.raises(ValueError, match=re.escape(f"not a substructure: {variant!r}")):
         Specialisation(None, ((Field("p"),), variant))
+
+
+def test_the_printers_refuse_what_is_not_a_formula_or_a_domain():
+    # A field has parts, as every node does, but is neither.
+    with pytest.raises(TypeError, match="^not a formula node: Field"):
+        formula_to_text(Field("x"))
+    with pytest.raises(TypeError, match="^not a domain: Field"):
+        domain_to_text(Field("x"))

@@ -403,6 +403,67 @@ def test_json_round_trip(order_view, assignment):
         assert recovered == view
 
 
+_ATTRIBUTE = {"name": "x", "domain": "text", "acquisition": "i"}
+
+
+def _one_class(**attribute) -> dict:
+    return {"classes": [{"name": "A", "kind": "defined", "attributes": [_ATTRIBUTE, attribute]}]}
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ([], "diagram: expected an object, found an array"),
+        (None, "diagram: expected an object, found null"),
+        ({"classes": 5}, "classes: expected an array, found a number"),
+        ({"classes": [3]}, "classes[0]: expected an object, found a number"),
+        ({"classes": [{"name": "A"}]}, "classes[0].kind: missing"),
+        ({"classes": [{"name": "A", "kind": "abstract"}]}, "classes[0].kind: expected one of defined, referenced, "),
+        ({"classes": [{"name": "A", "kind": "defined", "attributes": {}}]}, "classes[0].attributes: expected an array"),
+        (_one_class(domain="text"), "classes[0].attributes[1].name: missing"),
+        (_one_class(name="y", domain=5), "classes[0].attributes[1].domain: expected a string, found a number"),
+        (_one_class(name="y", domain=["x"]), "classes[0].attributes[1].domain: expected a string, found an array"),
+        (_one_class(name="y", domain="enum:a|a"), "classes[0].attributes[1].domain: duplicate literals"),
+        (_one_class(name="y", acquisition="x"), "classes[0].attributes[1].acquisition: expected one of i, g, d"),
+        (_one_class(name="y", formula=":x +"), "classes[0].attributes[1].formula: "),
+        (_one_class(name="y", formula=True), "classes[0].attributes[1].formula: expected a string, found a boolean"),
+        ({"associations": [{"from": "A", "to": "B"}]}, "associations[0].kind: missing"),
+        ({"associations": [{"from": "A", "to": "B", "kind": "reference", "multiplicity": "few"}]}, "associations[0].mul"),
+    ],
+)
+def test_a_malformed_diagram_object_names_the_bad_item(obj, message):
+    with pytest.raises(ValueError) as exc:
+        diagram_from_json_obj(obj)
+    assert str(exc.value).startswith(message)
+
+
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.sampled_from(["", "x", "text", "enum:a|b", ":x * 2", "one"])
+)
+# Objects take their keys from the schema, so that draws reach past the top.
+_JSON_KEYS = st.sampled_from(
+    ["classes", "associations", "name", "kind", "parent", "attributes", "domain", "acquisition", "formula",
+     "optional", "from", "to", "multiplicity"]
+)
+_JSON = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_JSON_KEYS, inner, max_size=5),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_JSON)
+def test_diagram_from_json_obj_is_total(obj):
+    try:
+        diagram = diagram_from_json_obj(obj)
+    except ValueError:
+        return
+    # What it reads, it exports.
+    assert diagram_from_json_obj(json.loads(export_diagram(diagram, "json"))) == diagram
+    export_diagram(diagram, "plantuml")
+
+
 def test_json_round_trip_of_a_formula_with_a_small_number():
     view = derive_view(_event(parse('A=<y (op=i) + x (op=d; formula="0.00001 * :y")>')))
     text = export_diagram(view, "json")
@@ -457,6 +518,19 @@ def test_manifest_paths_are_spelled_as_pathlib_spells_them(tmp_path, monkeypatch
     else:  # the manifest's folder
         with pytest.raises(ValueError, match=f"^cannot read {re.escape(expected)}: "):
             load_events_manifest(manifest)
+
+
+def test_a_manifest_entry_may_start_with_two_slashes(tmp_path):
+    # POSIX leaves a path's two leading slashes to the system, and pathlib
+    # keeps them; on Linux they name the same file as one.
+    from pathlib import Path
+
+    (tmp_path / "ev.ms").write_text("A = < x >\n", encoding="utf-8")
+    file = "/" + str(tmp_path / "ev.ms")
+    _write_manifest(tmp_path / "m.json", [file])
+    [event] = load_events_manifest(tmp_path / "m.json")
+    assert event.file == str(Path(file)) == file
+    assert event.structure == parse("A = < x >")
 
 
 def test_a_structure_that_fails_to_parse_raises_its_parse_error_with_the_file(tmp_path):

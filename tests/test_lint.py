@@ -234,6 +234,8 @@ def test_unknown_config_values_are_rejected():
         LintConfig.from_json({"severity": {"--": "fatal"}})
     with pytest.raises(ValueError):
         LintConfig.from_json({"report_missing": "false"})
+    with pytest.raises(ValueError, match="^'severity' must be an object$"):
+        LintConfig.from_json({"severity": []})
 
 
 def test_a_config_keeps_its_severity_map():
