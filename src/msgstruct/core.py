@@ -49,22 +49,33 @@ def _parse_bool(value: str) -> bool:
 # Quoted text: what a '\\' escape stands for. An unknown escape reads as
 # written.
 _UNESCAPES = {"\\": "\\", '"': '"', "'": "'", "t": "\t", "n": "\n", "r": "\r"}
-_UNESCAPE_RE = re.compile(r"\\([\s\S]?)")
+
+
+@cache
+def _unescape_re() -> re.Pattern:
+    """One escape in quoted text. Compiled on first use: most quoted text
+    holds none."""
+    return re.compile(r"\\([\s\S]?)")
 
 
 def _escape(value: str) -> str:
     """``value`` with '\\', '"', tab, newline and carriage return escaped.
-    A chain of ``str.replace`` scans a clean text five times at C speed, where
-    ``str.translate``, whose table writes two characters for one, looks each
-    character up in a dict. The backslash goes first, so the escapes made
-    after it are not escaped again."""
-    return (
-        value.replace("\\", "\\\\").replace('"', '\\"').replace("\t", "\\t").replace("\n", "\\n").replace("\r", "\\r")
-    )
+    Most values hold none of them and are returned as they are, after five
+    ``in`` tests, which cost less than the calls that would copy them. The
+    backslash is replaced first, so the escapes made after it are not
+    escaped again."""
+    if "\\" in value or '"' in value or "\t" in value or "\n" in value or "\r" in value:
+        return (
+            value.replace("\\", "\\\\").replace('"', '\\"').replace("\t", "\\t").replace("\n", "\\n")
+            .replace("\r", "\\r")
+        )
+    return value
 
 
 def _unescape(text: str) -> str:
-    return _UNESCAPE_RE.sub(lambda m: _UNESCAPES.get(m[1], "\\" + m[1]), text)
+    if "\\" not in text:
+        return text
+    return _unescape_re().sub(lambda m: _UNESCAPES.get(m[1], "\\" + m[1]), text)
 
 
 # ---------------------------------------------------------------------------

@@ -130,6 +130,13 @@ class Attribute(_Record):
         set_optional(self, optional)
 
 
+# The kinds of a class, the kinds of an association and the multiplicities
+# at its target, other than None; the constructors refuse any other value.
+_CLASS_KINDS = ("defined", "referenced", "subclass")
+_ASSOCIATION_KINDS = ("composition", "reference", "generalisation")
+_MULTIPLICITIES = ("one", "many")
+
+
 class ClassSpec(_Record):
     """A class of the diagram: its name, how it arose (defined, referenced
     or subclass), its attributes, and the superclass of a subclass."""
@@ -143,6 +150,8 @@ class ClassSpec(_Record):
         attributes: tuple[Attribute, ...] = (),
         parent: str | None = None,
     ) -> None:
+        if kind not in _CLASS_KINDS:
+            raise ValueError(f"unknown class kind {kind!r} (expected defined, referenced or subclass)")
         set_name, set_kind, set_attributes, set_parent = self._setters
         set_name(self, name)
         set_kind(self, kind)
@@ -163,6 +172,10 @@ class Association(_Record):
         kind: str,  # composition | reference | generalisation
         multiplicity: str | None = None,  # one | many (generalisations carry none)
     ) -> None:
+        if kind not in _ASSOCIATION_KINDS:
+            raise ValueError(f"unknown association kind {kind!r} (expected composition, reference or generalisation)")
+        if multiplicity is not None and multiplicity not in _MULTIPLICITIES:
+            raise ValueError(f"unknown multiplicity {multiplicity!r} (expected one, many or None)")
         set_source, set_target, set_kind, set_multiplicity = self._setters
         set_source(self, source)
         set_target(self, target)
@@ -405,7 +418,7 @@ def diagram_from_json_obj(obj: dict) -> ClassDiagram:
         classes.append(
             ClassSpec(
                 _member(c, "name", path, str),
-                _choice(c, "kind", path, ("defined", "referenced", "subclass")),
+                _choice(c, "kind", path, _CLASS_KINDS),
                 tuple(_attribute_from_json(a, f"{path}.attributes[{j}]") for j, a in enumerate(attributes)),
                 _member(c, "parent", path, str, None),
             )
@@ -417,8 +430,8 @@ def diagram_from_json_obj(obj: dict) -> ClassDiagram:
             Association(
                 _member(a, "from", path, str),
                 _member(a, "to", path, str),
-                _choice(a, "kind", path, tuple(_PLANTUML_EDGE)),
-                _choice(a, "multiplicity", path, tuple(_PLANTUML_MULT), None),
+                _choice(a, "kind", path, _ASSOCIATION_KINDS),
+                _choice(a, "multiplicity", path, _MULTIPLICITIES, None),
             )
         )
     return ClassDiagram(tuple(classes), tuple(associations))

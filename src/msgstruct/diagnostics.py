@@ -93,6 +93,14 @@ class _Record:
     def __hash__(self) -> int:
         return hash(self._eq_key(self))
 
+    # A record cannot change, so a copy of it, shallow or deep, is the record
+    # itself, at any depth of the values it holds.
+    def __copy__(self) -> _Record:
+        return self
+
+    def __deepcopy__(self, memo: dict) -> _Record:
+        return self
+
     def __getstate__(self) -> list:
         return [getattr(self, name) for name in self.__match_args__]
 

@@ -62,6 +62,8 @@ from .core import (
     _single_spaced,
     _traverse,
     _unescape,
+    domain_to_text,
+    formula_to_text,
     parse_formula,
 )
 from .diagnostics import Diagnostic, Severity, SourceSpan, _replace, _Source, _span_of
@@ -127,11 +129,12 @@ def _sources(tabular: bool) -> dict[str, str]:
         rf"{ws}(?P<sep>[;)]?)"
     )
     # The fast path takes a well-formed annotation in one match: no comment,
-    # each key at most once and in the order ``to_text`` writes them, op,
-    # domain, required and visible bare and the other values quoted with no
-    # '\\' in them. A value group holds the value as the entry loop reads it.
-    # In the tabular layout the annotation lies in one cell.
-    b = "[ ]" if tabular else r"[ \t\n]"
+    # no blank but spaces, each key at most once and in the order
+    # ``to_text`` writes them, op, domain, required and visible bare and the
+    # other values quoted with no '\\' in them. A value group holds the
+    # value as the entry loop reads it. In the tabular layout the annotation
+    # lies in one cell.
+    b = "[ ]"
     value = {
         "op": "[igd]",
         "domain": rf"[^;)\s\"#](?:[^;)\n{stop}]*[^;)\s])?",
@@ -163,14 +166,25 @@ def _sources(tabular: bool) -> dict[str, str]:
 
 
 # The property keys, named as ``_properties`` takes them, in the order
-# ``FieldProperties.to_mapping`` gives them.
+# ``_annotation`` writes them and ``FieldProperties.to_mapping`` gives them.
 _FAST_KEYS = ("op", "domain", "example", "desc", "label", "link", "required", "init", "visible", "formula")
 _ABSENT = (None,) * (len(_FAST_KEYS) - 3)  # no property after op, domain and example
-# What may stand between a tabular field's name and the tab that ends its
-# structure cell: blanks, separators and closers.
-_OWNER_RE = re.compile(r"[ +|>}\]]*\t")
-# An EXAMPLE VALUE cell: any text, with '"' and '\\' escaped.
-_EXAMPLE_RE = re.compile(r'(?:[^"\\]|\\.)*')
+
+
+@cache
+def _owner_re() -> re.Pattern:
+    """What may stand between a tabular field's name and the tab that ends
+    its structure cell: blanks, separators and closers. Compiled on first
+    use, as the compact layout never reads it."""
+    return re.compile(r"[ +|>}\]]*\t")
+
+
+@cache
+def _example_re() -> re.Pattern:
+    """An EXAMPLE VALUE cell: any text, with '"' and '\\' escaped. Compiled
+    on first use, as the compact layout never reads it."""
+    return re.compile(r'(?:[^"\\]|\\.)*')
+
 
 _OPENERS = "<{["
 _CLOSERS = ">}]"
@@ -397,7 +411,7 @@ class _Parser:
             # A tabular field owns its row's property cells when only blanks,
             # separators and closers stand between its name and the tab. It
             # reads them before the scan moves on to the next row.
-            owner = self.tabular and self.name is not None and _OWNER_RE.match(self.text, self.end)
+            owner = self.tabular and self.name is not None and _owner_re().match(self.text, self.end)
             properties, end = None, self.end
             if owner:
                 self.cells = owner.end() - 1
@@ -470,7 +484,7 @@ class _Parser:
                 domain_cell = value
                 entries["domain"] = (_domain_cell_text(value), start, end)
             elif column == 2:
-                bad = _EXAMPLE_RE.match(value).end()
+                bad = _example_re().match(value).end()
                 if bad < len(value):
                     self._fail("P005", f"unescaped {value[bad]!r} in example value", start + bad)
                 entries["example"] = (_unescape(value), start, end)
@@ -601,13 +615,37 @@ def to_text(ms: MessageStructure, style: str = "compact") -> str:
     raise ValueError(f"unknown style {style!r}")
 
 
-def _annotation(mapping: dict[str, str]) -> str:
-    """``(key=value; ...)``, with the values of op, domain, required and
-    visible bare and the others quoted."""
-    return "(" + "; ".join(
-        f"{k}={v}" if k in ("op", "domain", "required", "visible") else f'{k}="{_escape(v)}"'
-        for k, v in mapping.items()
-    ) + ")"
+def _annotation(p: FieldProperties, tabular: bool = False) -> str:
+    """The annotation ``(key=value; ...)`` of a field's properties ``p``, ""
+    if it has no entry. The entries are read from the slots of ``p`` and
+    written in ``_FAST_KEYS`` order: op, domain, required and visible bare,
+    the other values quoted. In the ``tabular`` layout op, domain and the
+    example have cells of their own and are left out, except an empty
+    example: an empty cell reads back as absent."""
+    out = []
+    acquisition, example = p.acquisition, p.example
+    if not tabular:
+        if acquisition is not None:
+            out.append("op=" + acquisition.op)
+        if p.domain is not None:
+            out.append("domain=" + domain_to_text(p.domain))
+    if example is not None and not (tabular and example):
+        out.append('example="' + _escape(example) + '"')
+    if p.description is not None:
+        out.append('desc="' + _escape(p.description) + '"')
+    if p.label is not None:
+        out.append('label="' + _escape(p.label) + '"')
+    if p.memory_link is not None:
+        out.append('link="' + _escape(p.memory_link) + '"')
+    if p.compulsory is not None:
+        out.append("required=true" if p.compulsory else "required=false")
+    if p.initialisation is not None:
+        out.append('init="' + _escape(formula_to_text(p.initialisation)) + '"')
+    if p.visible is not None:
+        out.append("visible=true" if p.visible else "visible=false")
+    if acquisition is not None and acquisition.formula is not None:
+        out.append('formula="' + _escape(formula_to_text(acquisition.formula)) + '"')
+    return "(" + "; ".join(out) + ")" if out else ""
 
 
 def _compact(root: Substructure) -> str:
@@ -621,8 +659,8 @@ def _compact(root: Substructure) -> str:
             out.append("|" if kind is tuple else "+")
         after_entry = entering
         if entering is None:
-            mapping = item.properties.to_mapping()
-            out.append(f"{item.name} {_annotation(mapping)}" if mapping else item.name)
+            annotation = _annotation(item.properties)
+            out.append(item.name + " " + annotation if annotation else item.name)
         elif kind is tuple or id(item) in elided:
             if not entering:
                 elided.discard(id(item))
@@ -693,19 +731,13 @@ def _tabular(ms: MessageStructure) -> str:
     for text, fld in rows:
         cells = [text]
         if fld is not None:
-            mapping = fld.properties.to_mapping()
-            extras = {
-                k: v for k, v in mapping.items() if k not in ("op", "domain", "example")
-            }
-            op = mapping.get("op", "")
-            domain = _domain_column(mapping["domain"]) if "domain" in mapping else ""
-            example = _escape(mapping["example"]) if "example" in mapping else ""
-            if mapping.get("example") == "":
-                # An empty cell reads back as "absent", so an empty example
-                # has to travel in the annotation column instead.
-                example = ""
-                extras = {"example": "", **extras}
-            cells += [op, domain, example, _annotation(extras) if extras else ""]
+            p = fld.properties
+            cells += [
+                "" if p.acquisition is None else p.acquisition.op,
+                "" if p.domain is None else _domain_column(domain_to_text(p.domain)),
+                "" if p.example is None else _escape(p.example),
+                _annotation(p, tabular=True),
+            ]
             while cells and cells[-1] == "":
                 cells.pop()
         lines.append("\t".join(cells))

@@ -15,7 +15,7 @@ import msgstruct
 from msgstruct import parse
 
 # The directory that holds the msgstruct package this test process imported.
-_PACKAGE_ROOT = str(Path(msgstruct.__file__).resolve().parent.parent)
+PACKAGE_ROOT = str(Path(msgstruct.__file__).resolve().parent.parent)
 
 ORDER_TEXT = """\
 # A client places an order (analysis time).
@@ -141,10 +141,11 @@ def cli_env(**extra: str) -> dict[str, str]:
     The child runs in another working directory, where a relative
     ``PYTHONPATH`` entry such as ``src`` no longer resolves, so the absolute
     directory of the package under test goes first; inherited entries follow.
+    ``extra`` may replace any of these variables.
     """
     inherited = os.environ.get("PYTHONPATH")
-    path = _PACKAGE_ROOT + (os.pathsep + inherited if inherited else "")
-    return dict(os.environ, PYTHONPATH=path, PYTHONDEVMODE="1", PYTHONWARNINGS="error", **extra)
+    path = PACKAGE_ROOT + (os.pathsep + inherited if inherited else "")
+    return {**os.environ, "PYTHONPATH": path, "PYTHONDEVMODE": "1", "PYTHONWARNINGS": "error", **extra}
 
 
 @pytest.fixture()

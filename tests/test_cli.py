@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ORDER_TABLE, ORDER_TEXT, SUPPLIER_RESPONSE_TEXT, cli_env
+from conftest import ORDER_TABLE, ORDER_TEXT, PACKAGE_ROOT, SUPPLIER_RESPONSE_TEXT, cli_env
 
 
 def test_parse_prints_compact_text(run_cli, corpus_dir):
@@ -764,13 +764,17 @@ def test_output_that_stdout_cannot_encode_exits_2_with_one_error_line(run_cli, t
 
 def _run_python(code: str, cwd) -> subprocess.CompletedProcess:
     """Run ``code`` in a fresh interpreter, which has imported nothing of
-    msgstruct yet (this test process holds every module)."""
+    msgstruct yet (this test process holds every module). Only the package
+    under test is on its path: a start-up hook in the interpreter's own site
+    directory (a ``.pth`` file) could import a module from a directory that
+    the caller's ``PYTHONPATH`` lends, such as another interpreter's
+    site-packages, and that module could load what no command loads."""
     return subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
         text=True,
         cwd=cwd,
-        env=cli_env(),
+        env=cli_env(PYTHONPATH=PACKAGE_ROOT),
         timeout=60,
     )
 
@@ -814,14 +818,14 @@ def test_a_command_loads_only_the_modules_it_runs(corpus_dir, argv, not_loaded):
 
 
 def test_a_compact_parse_compiles_only_the_token_and_field_patterns(corpus_dir):
-    # ORDER holds no formula and every annotation takes the fast path.
-    statement = (
-        "from msgstruct import cli, core, parser; cli.main(['parse', 'order.ms']); "
-        "print(parser._pattern.cache_info().currsize, core._formula_token_re.cache_info().currsize)"
-    )
+    # ORDER holds no formula and no escape, and every annotation takes the
+    # fast path; the tabular layout's owner and example patterns are not read.
+    lazy = ("parser._pattern", "core._formula_token_re", "parser._owner_re", "parser._example_re", "core._unescape_re")
+    sizes = ", ".join(f"{name}.cache_info().currsize" for name in lazy)
+    statement = f"from msgstruct import cli, core, parser; cli.main(['parse', 'order.ms']); print({sizes})"
     result = _run_python(statement, corpus_dir)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[-1] == "2 0"
+    assert result.stdout.splitlines()[-1] == "2 0 0 0 0"
 
 
 def test_importing_the_package_loads_no_submodule(corpus_dir):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import itertools
 import re
 
@@ -340,6 +341,8 @@ def test_traversals_of_trees_built_in_code_ignore_depth(wrap, fields, opener, cl
     same, shorter = chain(_DEEP), chain(_DEEP - 1)
     assert ms == same and not ms != same and hash(ms) == hash(same)
     assert ms != shorter and not ms == shorter
+    # A record is its own copy, so copying does not descend the chain.
+    assert copy.copy(ms) is ms and copy.deepcopy(ms) is ms
 
     canonical = canonicalize(ms)
     assert equivalent(canonical, ms)

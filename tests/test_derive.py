@@ -369,6 +369,38 @@ def test_empty_diagram_exports():
     assert export_diagram(ClassDiagram(), "plantuml") == "@startuml\n@enduml\n"
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: ClassSpec("A", "abstract"), "unknown class kind 'abstract'"),
+        (lambda: ClassSpec("A", None), "unknown class kind None"),
+        (lambda: Association("A", "B", "x"), "unknown association kind 'x'"),
+        (lambda: Association("A", "B", ["reference"]), r"unknown association kind \['reference'\]"),
+        (lambda: Association("A", "B", "reference", "few"), "unknown multiplicity 'few'"),
+        (lambda: Association("A", "B", "generalisation", ""), "unknown multiplicity ''"),
+    ],
+)
+def test_the_diagram_records_refuse_unknown_kinds_and_multiplicities(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_a_diagram_built_in_code_exports_every_kind_and_multiplicity():
+    classes = (ClassSpec("A", "defined"), ClassSpec("B", "referenced"), ClassSpec("C", "subclass", parent="A"))
+    associations = tuple(
+        Association("A", target, kind, multiplicity)
+        for target, kind in (("B", "composition"), ("B", "reference"), ("C", "generalisation"))
+        for multiplicity in ("one", "many", None)
+    )
+    assert export_diagram(ClassDiagram(classes, associations), "plantuml").splitlines() == [
+        "@startuml", "class A", "class B <<referenced>>", "class C",
+        'A "1" *-- "1" B', 'A "1" *-- "*" B', 'A "1" *-- "1" B',
+        'A "1" --> "1" B', 'A "1" --> "*" B', 'A "1" --> "1" B',
+        "A <|-- C", "A <|-- C", "A <|-- C",
+        "@enduml",
+    ]
+
+
 def test_json_export_holds_at_most_three_times_its_text():
     # 3,000 attributes in 60 classes. The export makes each class's object
     # only when the writer reaches it, and holds the pieces of text while it

@@ -32,6 +32,7 @@ from msgstruct.core import (
     Number,
     ReferenceDomain,
     Specialisation,
+    Text,
     _parse_bool,
     canonicalize,
     equivalent,
@@ -680,6 +681,15 @@ def test_annotation_entries_may_continue_on_the_next_line():
     assert next(iter_fields(ms)).properties.domain == BasicDomain("text")
 
 
+def test_only_quoted_text_with_an_escape_compiles_the_unescape_pattern():
+    core._unescape_re.cache_clear()
+    # Both are read by the entry loop, as the annotation spans two lines.
+    assert next(iter_fields(parse('A=<a (op=i;\n desc="x y")>'))).properties.description == "x y"
+    assert core._unescape_re.cache_info().currsize == 0
+    assert next(iter_fields(parse('A=<a (op=i;\n desc="x\\ty")>'))).properties.description == "x\ty"
+    assert core._unescape_re.cache_info().currsize == 1
+
+
 def test_quoted_values_keep_unknown_escapes():
     ms = parse('A=<x (example="a\\\nb")>')
     assert next(iter_fields(ms)).properties.example == "a\\\nb"
@@ -827,6 +837,7 @@ def test_the_fast_keys_are_in_print_order():
     # The fast path's pattern takes the keys in ``_FAST_KEYS`` order, which
     # must be the order ``to_text`` writes them; otherwise every annotated
     # field would fall back to the entry loop, with no output to show it.
+    # The JSON view (``to_mapping``) lists them in the same order.
     every = FieldProperties(
         Acquisition("d", FieldRef("x")),
         BasicDomain("text"),
@@ -838,4 +849,184 @@ def test_the_fast_keys_are_in_print_order():
         Number(1),
         False,
     )
+    ms = MessageStructure("M", Aggregation(None, (Field("a", every),)))
+    compact = to_text(ms)
+    extras = to_text(ms, "tabular").splitlines()[-1].split("\t")[-1]
+    assert tuple(re.findall(r"(?:\(|; )([a-z]+)=", compact)) == _FAST_KEYS
+    assert ("op", "domain", "example", *re.findall(r"(?:\(|; )([a-z]+)=", extras)) == _FAST_KEYS
     assert tuple(every.to_mapping()) == _FAST_KEYS
+
+
+# A reference copy of the printers as they were when each field's annotation
+# was written from ``FieldProperties.to_mapping``, with five ``str.replace``
+# scans over every quoted value. ``to_text`` writes what they write, byte for
+# byte.
+_REFERENCE_BRACKETS = {Aggregation: "<>", Iteration: "{}", Specialisation: "[]"}
+
+
+def _reference_escape(value: str) -> str:
+    return (
+        value.replace("\\", "\\\\").replace('"', '\\"').replace("\t", "\\t").replace("\n", "\\n")
+        .replace("\r", "\\r")
+    )
+
+
+def _reference_annotation(mapping: dict[str, str]) -> str:
+    return "(" + "; ".join(
+        f"{k}={v}" if k in ("op", "domain", "required", "visible") else f'{k}="{_reference_escape(v)}"'
+        for k, v in mapping.items()
+    ) + ")"
+
+
+def _reference_compact(root) -> str:
+    out: list[str] = []
+    elided: set[int] = set()
+    after_entry = True
+    for entering, item in core._traverse(root):
+        kind = type(item)
+        if not after_entry and entering is not False:
+            out.append("|" if kind is tuple else "+")
+        after_entry = entering
+        if entering is None:
+            mapping = item.properties.to_mapping()
+            out.append(f"{item.name} {_reference_annotation(mapping)}" if mapping else item.name)
+        elif kind is tuple or id(item) in elided:
+            if not entering:
+                elided.discard(id(item))
+        elif entering:
+            opener = _REFERENCE_BRACKETS[kind][0]
+            out.append(f"{item.name}={opener}" if item.name else opener)
+        else:
+            out.append(_REFERENCE_BRACKETS[kind][1])
+        if entering and (kind is tuple or kind is Iteration):
+            only = core._lone_aggregation(item if kind is tuple else item.children)
+            if only is not None and only.name is None and core._lone_aggregation(only.children) is None:
+                elided.add(id(only))
+    return "".join(out)
+
+
+def _reference_domain_column(text: str) -> str:
+    if text.startswith("enum:"):
+        return f"[{text[5:]}]"
+    if text.startswith("ref:") and text[4:] not in core.BASIC_DOMAIN_KINDS:
+        return text[4:]
+    return text
+
+
+def _reference_tabular(ms: MessageStructure) -> str:
+    rows: list = [(f"{ms.name} =", None)]
+    absorb = False
+    pending = ""
+    after_entry = True
+    for entering, item in core._traverse(ms.root):
+        kind = type(item)
+        if not after_entry and entering is not False:
+            text, fld = rows[-1]
+            rows[-1] = (text + (" |" if kind is tuple else " +"), fld)
+            absorb = False
+        after_entry = entering
+        if entering is None:
+            rows.append((pending + item.name, item))
+            absorb = True
+            pending = ""
+        elif kind is tuple:
+            continue
+        elif entering:
+            if item.name:
+                rows.append((pending + item.name + " =", None))
+                absorb = False
+                pending = ""
+            pending += _REFERENCE_BRACKETS[kind][0] + " "
+        elif absorb:
+            text, fld = rows[-1]
+            rows[-1] = (text + " " + _REFERENCE_BRACKETS[kind][1], fld)
+            absorb = False
+        else:
+            rows.append((_REFERENCE_BRACKETS[kind][1], None))
+    lines = ["FIELD\tOP\tDOMAIN\tEXAMPLE VALUE"]
+    for text, fld in rows:
+        cells = [text]
+        if fld is not None:
+            mapping = fld.properties.to_mapping()
+            extras = {k: v for k, v in mapping.items() if k not in ("op", "domain", "example")}
+            op = mapping.get("op", "")
+            domain = _reference_domain_column(mapping["domain"]) if "domain" in mapping else ""
+            example = _reference_escape(mapping["example"]) if "example" in mapping else ""
+            if mapping.get("example") == "":
+                example = ""
+                extras = {"example": "", **extras}
+            cells += [op, domain, example, _reference_annotation(extras) if extras else ""]
+            while cells and cells[-1] == "":
+                cells.pop()
+        lines.append("\t".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def _reference_to_text(ms: MessageStructure, style: str) -> str:
+    if ms.root.name is not None:
+        ms = MessageStructure(ms.name, type(ms.root)(None, ms.root.parts))
+    return f"{ms.name}={_reference_compact(ms.root)}" if style == "compact" else _reference_tabular(ms)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(strategies.structures())
+def test_the_printers_write_what_the_reference_printers_write(tree):
+    for style in ("compact", "tabular"):
+        assert to_text(tree, style) == _reference_to_text(tree, style)
+
+
+@pytest.mark.parametrize(
+    "properties, compact, cells",
+    [
+        # An empty example: an empty EXAMPLE VALUE cell would read as absent.
+        (FieldProperties(example=""), 'a (example="")', '\t\t\t\t(example="")'),
+        (
+            FieldProperties(Acquisition("i"), BasicDomain("text"), "", "d"),
+            'a (op=i; domain=text; example=""; desc="d")',
+            '\ti\ttext\t\t(example=""; desc="d")',
+        ),
+        # '\\', '"', tab, newline and carriage return, in every quoted value,
+        # each also alone.
+        (
+            FieldProperties(example='say "hi"\t\\', description="two\nlines\r", label='\\"'),
+            'a (example="say \\"hi\\"\\t\\\\"; desc="two\\nlines\\r"; label="\\\\\\"")',
+            '\t\t\tsay \\"hi\\"\\t\\\\\t(desc="two\\nlines\\r"; label="\\\\\\"")',
+        ),
+        (
+            FieldProperties(example="\r", description="\t", label="\n"),
+            'a (example="\\r"; desc="\\t"; label="\\n")',
+            '\t\t\t\\r\t(desc="\\t"; label="\\n")',
+        ),
+        (
+            FieldProperties(example="\\", description='"'),
+            'a (example="\\\\"; desc="\\"")',
+            '\t\t\t\\\\\t(desc="\\"")',
+        ),
+        # A lone literal of several words keeps its '|'.
+        (
+            FieldProperties(domain=EnumeratedDomain(("Credit card",))),
+            "a (domain=enum:Credit card|)",
+            "\t\t[Credit card|]",
+        ),
+        # A type named like a basic domain keeps its "ref:".
+        (FieldProperties(domain=ReferenceDomain("text")), "a (domain=ref:text)", "\t\tref:text"),
+        (FieldProperties(domain=ReferenceDomain("Client")), "a (domain=ref:Client)", "\t\tClient"),
+        # Formulas are quoted, with the quotes and backslashes of their text escaped.
+        (
+            FieldProperties(
+                Acquisition("d", BinaryOp("*", FieldRef("Price"), Call("max", (Text('a"b\\'), Number(2))))),
+                initialisation=Call("today"),
+                visible=True,
+            ),
+            'a (op=d; init="today()"; visible=true; formula=":Price * max(\'a\\"b\\\\\\\\\', 2)")',
+            '\td\t\t\t(init="today()"; visible=true; formula=":Price * max(\'a\\"b\\\\\\\\\', 2)")',
+        ),
+    ],
+)
+def test_the_printers_write_each_property_as_it_reads_back(properties, compact, cells):
+    ms = MessageStructure("M", Aggregation(None, (Field("a", properties),)))
+    assert to_text(ms) == f"M=<{compact}>"
+    assert to_text(ms, "tabular") == f"FIELD\tOP\tDOMAIN\tEXAMPLE VALUE\nM =\n< a >{cells}\n"
+    for style in ("compact", "tabular"):
+        assert to_text(ms, style) == _reference_to_text(ms, style)
+        assert parse(to_text(ms, style)) == ms
